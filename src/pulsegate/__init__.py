@@ -19,6 +19,7 @@ from .su2 import (
 )
 from .ir import (
     CompiledGate,
+    CompileReport,
     VirtualZ,
     XYPulse,
     absorb_virtual_z,
@@ -31,7 +32,6 @@ from .greedy import (
     AllowedAxis,
     AxisSet,
     CompileError,
-    CompileReport,
     GreedyConfig,
     MaxItersError,
     NoProgressError,
@@ -60,6 +60,7 @@ __all__ = [
     "residual_angle",
     "rotation_unitary",
     "CompiledGate",
+    "CompileReport",
     "VirtualZ",
     "XYPulse",
     "absorb_virtual_z",
@@ -70,7 +71,6 @@ __all__ = [
     "AllowedAxis",
     "AxisSet",
     "CompileError",
-    "CompileReport",
     "GreedyConfig",
     "MaxItersError",
     "NoProgressError",

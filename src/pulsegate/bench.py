@@ -58,23 +58,18 @@ class FitResult:
     r2: float
 
 
-def evaluation_dataset(z_first: bool = False) -> list[EvalTarget]:
+def evaluation_dataset() -> list[EvalTarget]:
     """The 128-gate grid: theta = k*pi/7 (k = 0..7), varphi = 2*pi*j/16 (j = 0..15).
 
-    Targets apply the x rotation first and the z rotation second; pass
-    z_first=True to flip the order for sensitivity checks. Order is
-    theta-major.
+    Targets apply the x rotation first and the z rotation second. Order
+    is theta-major.
     """
     targets = []
     for k in range(8):
         theta = k * math.pi / 7.0
         for j in range(16):
             varphi = 2.0 * math.pi * j / 16.0
-            if z_first:
-                u = compose(rz(varphi), rx(theta))
-            else:
-                u = compose(rx(theta), rz(varphi))
-            targets.append(EvalTarget(theta, varphi, u))
+            targets.append(EvalTarget(theta, varphi, compose(rx(theta), rz(varphi))))
     return targets
 
 
@@ -82,7 +77,6 @@ def run_sweep(
     axes_list: Sequence[int] = DEFAULT_AXES_LIST,
     eps_list: Sequence[float] = DEFAULT_EPS_LIST,
     dataset: Sequence[EvalTarget] | None = None,
-    max_iters: int = 10_000,
     keep_gates: bool = False,
 ) -> list[SweepRow] | tuple[list[SweepRow], dict]:
     """Compile the dataset for every (n_axes, eps_target) pair.
@@ -98,7 +92,7 @@ def run_sweep(
     for n_axes in axes_list:
         axes = allowed_axes(n_axes)
         for eps in eps_list:
-            config = GreedyConfig(eps_target=eps, max_iters=max_iters)
+            config = GreedyConfig(eps_target=eps)
             eps_sum = dist_sum = pulses_sum = time_sum = 0.0
             failures = 0
             cell: list[CompiledGate | None] = []

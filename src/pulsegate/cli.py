@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bench, ir
-from .greedy import CompileError, GreedyConfig, allowed_axes, greedy_compile
-from .su2 import euler_matrix, hs_fidelity, is_unitary, rotation_unitary
+from .greedy import CompileError, GreedyConfig, InvalidConfigurationError, allowed_axes, greedy_compile
+from .su2 import euler_matrix, is_unitary, rotation_unitary
 from .u3 import u3_compile
 
 NAMED_GATES = {
@@ -44,7 +44,7 @@ class GateSpecError(ValueError):
 
 @dataclass(frozen=True)
 class GateSpec:
-    """A resolved target gate plus the JSON form it was given in."""
+    """A resolved target gate plus its normalized JSON description."""
 
     description: dict
     unitary: np.ndarray
@@ -76,7 +76,7 @@ def _matrix_from_json(data) -> np.ndarray:
 
 
 def resolve_gate_spec(args) -> GateSpec:
-    """Resolve the --gate/--euler/--axis/--matrix flags to a unitary."""
+    """Turn the --gate/--euler/--axis/--matrix flags into a target description."""
     given = [
         name
         for name, value in [
@@ -91,58 +91,62 @@ def resolve_gate_spec(args) -> GateSpec:
     if len(given) != 1:
         raise GateSpecError("specify exactly one of --gate/--euler/--axis/--matrix/--matrix-file")
     if args.gate is not None:
-        name = args.gate.upper()
-        if name not in NAMED_GATES:
-            raise GateSpecError(f"unknown gate {args.gate!r}; known: {', '.join(NAMED_GATES)}")
-        return GateSpec({"gate": name}, NAMED_GATES[name])
-    if args.euler is not None:
-        theta, phi, lam = _parse_floats(args.euler, 3, "--euler")
-        return GateSpec({"euler": [theta, phi, lam]}, euler_matrix(theta, phi, lam))
-    if args.axis is not None:
+        description = {"gate": args.gate.upper()}
+    elif args.euler is not None:
+        description = {"euler": _parse_floats(args.euler, 3, "--euler")}
+    elif args.axis is not None:
         if args.angle is None:
             raise GateSpecError("--axis requires --angle")
-        nx, ny, nz = _parse_floats(args.axis, 3, "--axis")
+        description = {"axis": _parse_floats(args.axis, 3, "--axis"), "angle": args.angle}
+    elif args.matrix is not None:
         try:
-            u = rotation_unitary((nx, ny, nz), args.angle)
-        except ValueError as exc:
-            raise GateSpecError(str(exc)) from exc
-        return GateSpec({"axis": [nx, ny, nz], "angle": args.angle}, u)
-    if args.matrix is not None:
-        try:
-            data = json.loads(args.matrix)
+            description = {"matrix": json.loads(args.matrix)}
         except json.JSONDecodeError as exc:
             raise GateSpecError(f"malformed --matrix JSON: {exc}") from exc
     else:
         try:
             with open(args.matrix_file) as fh:
-                data = json.load(fh)
+                description = {"matrix": json.load(fh)}
         except (OSError, json.JSONDecodeError) as exc:
             raise GateSpecError(f"cannot read matrix file: {exc}") from exc
-    u = _matrix_from_json(data)
-    if not is_unitary(u):
-        raise GateSpecError("matrix is not unitary within 1e-9")
-    return GateSpec({"matrix": [[[x.real, x.imag] for x in row] for row in u]}, u)
+    return gate_spec_from_json(description)
 
 
-def gate_spec_from_json(description: dict) -> GateSpec:
-    """Rebuild a GateSpec from the `target` object of a schedule file."""
-    if "gate" in description:
-        name = description["gate"]
-        if name not in NAMED_GATES:
-            raise GateSpecError(f"unknown gate {name!r}")
-        return GateSpec({"gate": name}, NAMED_GATES[name])
-    if "euler" in description:
-        theta, phi, lam = (float(x) for x in description["euler"])
-        return GateSpec(description, euler_matrix(theta, phi, lam))
-    if "axis" in description:
-        u = rotation_unitary(description["axis"], float(description["angle"]))
-        return GateSpec(description, u)
-    if "matrix" in description:
-        u = _matrix_from_json(description["matrix"])
-        if not is_unitary(u):
-            raise GateSpecError("embedded matrix is not unitary within 1e-9")
-        return GateSpec(description, u)
-    raise GateSpecError(f"unrecognized target spec: {description!r}")
+def gate_spec_from_json(description) -> GateSpec:
+    """Build and validate the target a description names.
+
+    The one place a description becomes a unitary: `compile` flags and
+    the `target` object of a schedule file both end here. The returned
+    description is normalized to the form `compile` prints, with matrix
+    entries as [re, im] pairs.
+    """
+    try:
+        if "gate" in description:
+            name = description["gate"]
+            if name not in NAMED_GATES:
+                raise GateSpecError(f"unknown gate {name!r}; known: {', '.join(NAMED_GATES)}")
+            description, u = {"gate": name}, NAMED_GATES[name]
+        elif "euler" in description:
+            theta, phi, lam = (float(x) for x in description["euler"])
+            description, u = {"euler": [theta, phi, lam]}, euler_matrix(theta, phi, lam)
+        elif "axis" in description:
+            axis = [float(x) for x in description["axis"]]
+            angle = float(description["angle"])
+            description, u = {"axis": axis, "angle": angle}, rotation_unitary(axis, angle)
+        elif "matrix" in description:
+            u = _matrix_from_json(description["matrix"])
+            if not is_unitary(u):
+                raise GateSpecError("matrix is not unitary within 1e-9")
+            description = {"matrix": [[[x.real, x.imag] for x in row] for row in u]}
+        else:
+            raise GateSpecError(f"unrecognized target spec: {description!r}")
+    except GateSpecError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GateSpecError(f"invalid target: {exc}") from exc
+    if not np.isfinite(u).all():
+        raise GateSpecError("target unitary is not finite")
+    return GateSpec(description, u)
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +284,16 @@ def cmd_verify(args) -> int:
         print(f"error: cannot read schedule: {exc}", file=sys.stderr)
         return 1
     given = any(x is not None for x in (args.gate, args.euler, args.axis, args.matrix, args.matrix_file))
-    spec = resolve_gate_spec(args) if given else gate_spec_from_json(doc["target"])
-    pulses = [ir.XYPulse(float(p["phase_rad"]), float(p["angle_rad"])) for p in doc["pulses"]]
-    steps: list[ir.PulseStep] = list(pulses)
-    frame = float(doc["frame_phase_rad"])
-    if frame != 0.0:
-        steps.append(ir.VirtualZ(frame))
-    u = ir.sequence_unitary(steps)
-    eps = max(0.0, 1.0 - hs_fidelity(spec.unitary, u))
-    declared = float(doc["epsilon"])
+    try:
+        pulses = [ir.XYPulse(float(p["phase_rad"]), float(p["angle_rad"])) for p in doc["pulses"]]
+        frame = float(doc["frame_phase_rad"])
+        declared = float(doc["epsilon"])
+        target = None if given else doc["target"]
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"error: malformed schedule: {exc!r}", file=sys.stderr)
+        return 1
+    spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)
+    eps = ir.schedule_error(spec.unitary, pulses, frame)
     ok = eps <= declared + 1e-12
     print(f"achieved epsilon: {eps:.17g} (declared {declared:.17g}) -> {'OK' if ok else 'MISMATCH'}")
     return 0 if ok else 1
@@ -328,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GateSpecError as exc:
+    except (GateSpecError, InvalidConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,11 @@ import numpy as np
 from . import ir
 from .su2 import IDENTITY, hs_fidelity, residual_angle, rotation_unitary
 
+# Stall safeguards: iteration budget, trial-angle halving, damping floor (radians).
+MAX_ITERS = 10_000
+DAMPING_FACTOR = 0.5
+MIN_ANGLE = 1e-12
+
 
 class InvalidConfigurationError(ValueError):
     """Compiler configuration violates its preconditions."""
@@ -94,36 +99,13 @@ def allowed_axes(n_axes: int) -> AxisSet:
 
 @dataclass(frozen=True)
 class GreedyConfig:
-    """Termination threshold and stall safeguards for the greedy loop."""
+    """Termination threshold for the greedy loop."""
 
     eps_target: float
-    max_iters: int = 10_000
-    damping_factor: float = 0.5
-    min_angle: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.eps_target < 1.0:
             raise InvalidConfigurationError("eps_target must be in (0, 1)")
-        if self.max_iters <= 0:
-            raise InvalidConfigurationError("max_iters must be positive")
-        if not 0.0 < self.damping_factor < 1.0:
-            raise InvalidConfigurationError("damping_factor must be in (0, 1)")
-        if self.min_angle <= 0.0:
-            raise InvalidConfigurationError("min_angle must be positive")
-
-
-@dataclass(frozen=True)
-class CompileReport:
-    """Per-compilation diagnostics, including pre-pass cost metrics."""
-
-    achieved_epsilon: float
-    iterations: int
-    damped_steps: int
-    pre_pass_distance: float
-    pre_pass_pulse_count: int
-    post_pass_distance: float
-    post_pass_pulse_count: int
-    compile_time: float
 
 
 def best_axis_step(
@@ -163,13 +145,13 @@ def greedy_compile(
     target: np.ndarray,
     axes: AxisSet,
     config: GreedyConfig,
-) -> tuple[ir.CompiledGate, CompileReport]:
+) -> tuple[ir.CompiledGate, ir.CompileReport]:
     """Compile `target` into allowed-axis rotations to error <= eps_target.
 
     Accepted steps strictly increase fidelity, so the loop terminates on
-    the error test on the common path; max_iters and the damping floor
-    are safety nets. The finishing passes (merge, absorb) are exact, and
-    the final gate is re-verified against the target.
+    the error test on the common path; MAX_ITERS and the damping floor
+    are safety nets. The finishing passes (merge, absorb, merge) are
+    exact, and the final gate is re-verified against the target.
     """
     t_start = time.perf_counter()
     u = IDENTITY
@@ -178,16 +160,14 @@ def greedy_compile(
     damped = 0
     fid = hs_fidelity(target, u)
     while 1.0 - fid > config.eps_target:
-        if iterations >= config.max_iters:
-            raise MaxItersError(
-                f"no convergence within {config.max_iters} iterations", steps, fid
-            )
+        if iterations >= MAX_ITERS:
+            raise MaxItersError(f"no convergence within {MAX_ITERS} iterations", steps, fid)
         angle = residual_angle(fid)
         axis, best = best_axis_step(u, target, axes, angle)
         while best <= fid:
-            angle *= config.damping_factor
+            angle *= DAMPING_FACTOR
             damped += 1
-            if angle < config.min_angle:
+            if angle < MIN_ANGLE:
                 raise NoProgressError(
                     "damping floor reached with no improving axis", steps, fid
                 )
@@ -197,36 +177,14 @@ def greedy_compile(
         fid = best
         iterations += 1
 
-    merged = ir.merge_adjacent(steps)
-    pulses, frame_phase = ir.absorb_virtual_z(merged)
-    gate_unitary = ir.sequence_unitary(pulses)
-    if frame_phase != 0.0:
-        gate_unitary = rotation_unitary((0.0, 0.0, 1.0), frame_phase) @ gate_unitary
-    epsilon = max(0.0, 1.0 - hs_fidelity(target, gate_unitary))
-    if epsilon > config.eps_target + 1e-12:
+    pulses, frame_phase = ir.absorb_virtual_z(ir.merge_adjacent(steps))
+    gate, report = ir.finish(
+        target, steps, ir.merge_adjacent(pulses), frame_phase, iterations, damped, t_start
+    )
+    if not gate.epsilon <= config.eps_target + 1e-12:
         raise CompileError(
-            f"post-pass error {epsilon} exceeds target {config.eps_target}",
+            f"post-pass error {gate.epsilon} exceeds target {config.eps_target}",
             steps,
             fid,
         )
-    elapsed = time.perf_counter() - t_start
-    gate = ir.CompiledGate(
-        pulses=tuple(pulses),
-        frame_phase=frame_phase,
-        epsilon=epsilon,
-        distance=ir.distance(pulses),
-        pulse_count=len(pulses),
-        iterations=iterations,
-        compile_time=elapsed,
-    )
-    report = CompileReport(
-        achieved_epsilon=epsilon,
-        iterations=iterations,
-        damped_steps=damped,
-        pre_pass_distance=ir.distance(steps),
-        pre_pass_pulse_count=ir.pulse_count(steps),
-        post_pass_distance=gate.distance,
-        post_pass_pulse_count=gate.pulse_count,
-        compile_time=elapsed,
-    )
     return gate, report

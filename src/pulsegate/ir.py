@@ -11,17 +11,22 @@ hardware. Passes here are exact up to global phase:
 
 Cost metrics follow the zero-cost virtual-Z accounting: distance sums
 only physical pulse angles, pulse_count counts only physical pulses.
+
+Every compiler ends in `finish`, which evaluates the finished schedule
+with `schedule_error` and packages it as a CompiledGate plus its
+CompileReport.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .su2 import IDENTITY, mod_2pi, mod_pm_pi, rz, xy_rotation
+from .su2 import IDENTITY, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
 
 # Canonical angles below this are dropped (pure global phase at double precision).
 ANGLE_EPS = 1e-12
@@ -137,17 +142,15 @@ def merge_adjacent(steps: PulseSequence) -> list[PulseStep]:
     return out
 
 
-def absorb_virtual_z(
-    steps: PulseSequence, merge: bool = True
-) -> tuple[list[XYPulse], float]:
+def absorb_virtual_z(steps: PulseSequence) -> tuple[list[XYPulse], float]:
     """Push all virtual-Z shifts into later pulse phases.
 
     A frame shift by z before a pulse at phase phi is equivalent to the
     pulse at phase phi - z followed by the same shift; scanning in time
     order leaves only physical pulses plus one trailing frame phase.
-    Returns (pulses, frame_phase in [0, 2*pi)). With `merge` (default)
-    the emitted pulses are re-merged, since absorption can make phases
-    adjacent; pass merge=False to keep a fixed pulse pattern.
+    Returns (pulses, frame_phase in [0, 2*pi)). Absorption can make
+    pulses coaxial and adjacent; callers that want them folded run
+    merge_adjacent on the result.
     """
     z_acc = 0.0
     pulses: list[XYPulse] = []
@@ -158,8 +161,6 @@ def absorb_virtual_z(
             shifted = canonical_xy(step.phase - z_acc, step.angle)
             if shifted is not None:
                 pulses.append(shifted)
-    if merge:
-        pulses = [p for p in merge_adjacent(pulses) if isinstance(p, XYPulse)]
     return pulses, mod_2pi(z_acc)
 
 
@@ -187,7 +188,65 @@ class CompiledGate:
 
     def unitary(self) -> np.ndarray:
         """Evaluate pulses followed by the trailing frame shift."""
-        u = sequence_unitary(self.pulses)
-        if self.frame_phase != 0.0:
-            u = rz(self.frame_phase) @ u
-        return u
+        return schedule_unitary(self.pulses, self.frame_phase)
+
+
+@dataclass(frozen=True)
+class CompileReport:
+    """Per-compilation diagnostics the gate itself does not carry."""
+
+    iterations: int
+    damped_steps: int
+    pre_pass_distance: float
+    pre_pass_pulse_count: int
+    post_pass_pulse_count: int
+
+
+def schedule_unitary(pulses: Sequence[XYPulse], frame_phase: float) -> np.ndarray:
+    """Evaluate physical pulses followed by the trailing frame shift."""
+    u = sequence_unitary(pulses)
+    if frame_phase != 0.0:
+        u = rz(frame_phase) @ u
+    return u
+
+
+def schedule_error(
+    target: np.ndarray, pulses: Sequence[XYPulse], frame_phase: float
+) -> float:
+    """Gate error 1 - F of a finished schedule; roundoff below 0 reads 0, NaN stays NaN."""
+    return max(1.0 - hs_fidelity(target, schedule_unitary(pulses, frame_phase)), 0.0)
+
+
+def finish(
+    target: np.ndarray,
+    steps: PulseSequence,
+    pulses: Sequence[XYPulse],
+    frame_phase: float,
+    iterations: int,
+    damped_steps: int,
+    t_start: float,
+) -> tuple[CompiledGate, CompileReport]:
+    """Evaluate a finished schedule and package it with its report.
+
+    `steps` is the schedule before the finishing passes, `pulses` and
+    `frame_phase` what they left; `t_start` is the compile's
+    time.perf_counter() start.
+    """
+    epsilon = schedule_error(target, pulses, frame_phase)
+    gate = CompiledGate(
+        pulses=tuple(pulses),
+        frame_phase=frame_phase,
+        epsilon=epsilon,
+        distance=distance(pulses),
+        pulse_count=len(pulses),
+        iterations=iterations,
+        compile_time=time.perf_counter() - t_start,
+    )
+    report = CompileReport(
+        iterations=iterations,
+        damped_steps=damped_steps,
+        pre_pass_distance=distance(steps),
+        pre_pass_pulse_count=pulse_count(steps),
+        post_pass_pulse_count=gate.pulse_count,
+    )
+    return gate, report

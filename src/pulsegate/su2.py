@@ -24,9 +24,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 IDENTITY = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class InvalidAxisError(ValueError):
@@ -55,11 +52,12 @@ def mod_pm_pi(angle: float) -> float:
     return a
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
+    """2x2 and unitary to within 1e-9 per entry of u^dag u - I."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - IDENTITY)) <= tol)
+    return bool(np.max(np.abs(u.conj().T @ u - IDENTITY)) <= 1e-9)
 
 
 def rotation_unitary(axis, theta: float) -> np.ndarray:

@@ -21,8 +21,7 @@ import time
 import numpy as np
 
 from . import ir
-from .su2 import euler_zxz, hs_fidelity
-from .greedy import CompileReport
+from .su2 import euler_zxz
 
 
 def u3_sequence(theta: float, phi: float, lam: float) -> list[ir.PulseStep]:
@@ -42,39 +41,15 @@ def u3_sequence(theta: float, phi: float, lam: float) -> list[ir.PulseStep]:
     return steps
 
 
-def u3_compile(target: np.ndarray) -> tuple[ir.CompiledGate, CompileReport]:
+def u3_compile(target: np.ndarray) -> tuple[ir.CompiledGate, ir.CompileReport]:
     """Compile `target` to the fixed two-pulse schedule.
 
-    Absorption runs without the re-merge pass: the two pulses must stay
-    distinct even when the interior z rotation vanishes (theta = pi),
+    Absorption is not followed by the merge pass: the two pulses must
+    stay distinct even when the interior z rotation vanishes (theta = pi),
     because the baseline's cost is fixed by construction.
     """
     t_start = time.perf_counter()
     e = euler_zxz(target)
     seq = u3_sequence(e.theta, e.phi, e.lam)
-    pulses, frame_phase = ir.absorb_virtual_z(seq, merge=False)
-    u = ir.sequence_unitary(pulses)
-    if frame_phase != 0.0:
-        u = ir.step_unitary(ir.VirtualZ(frame_phase)) @ u
-    epsilon = max(0.0, 1.0 - hs_fidelity(target, u))
-    elapsed = time.perf_counter() - t_start
-    gate = ir.CompiledGate(
-        pulses=tuple(pulses),
-        frame_phase=frame_phase,
-        epsilon=epsilon,
-        distance=ir.distance(pulses),
-        pulse_count=len(pulses),
-        iterations=0,
-        compile_time=elapsed,
-    )
-    report = CompileReport(
-        achieved_epsilon=epsilon,
-        iterations=0,
-        damped_steps=0,
-        pre_pass_distance=ir.distance(seq),
-        pre_pass_pulse_count=ir.pulse_count(seq),
-        post_pass_distance=gate.distance,
-        post_pass_pulse_count=gate.pulse_count,
-        compile_time=elapsed,
-    )
-    return gate, report
+    pulses, frame_phase = ir.absorb_virtual_z(seq)
+    return ir.finish(target, seq, pulses, frame_phase, 0, 0, t_start)

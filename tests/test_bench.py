@@ -34,11 +34,6 @@ class TestDataset:
         t = ds[20]
         assert np.allclose(t.unitary, rz(t.varphi) @ rx(t.theta))
 
-    def test_z_first_switch(self):
-        ds = evaluation_dataset(z_first=True)
-        t = ds[20]
-        assert np.allclose(t.unitary, rx(t.theta) @ rz(t.varphi))
-
 
 class TestRunSweep:
     def test_row_grid_and_bounds(self):

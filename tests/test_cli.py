@@ -1,5 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import re
+import shlex
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +17,60 @@ from pulsegate.ir import VirtualZ, XYPulse
 from pulsegate.su2 import rx
 
 
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden_cases() -> list[list[str]]:
+    """Every `compile` invocation the golden file records, in file order."""
+    cases = []
+    for name in NAMED_GATES:
+        for axes in ("6", "18", "34"):
+            for eps in ("1e-2", "1e-6"):
+                cases.append(["compile", "--gate", name, "--axes", axes, "--epsilon", eps])
+        cases.append(["compile", "--gate", name, "--baseline"])
+        cases.append(["compile", "--gate", name, "--format", "text"])
+    cases += [
+        ["compile", "--euler=-0.4,1.1,2.5", "--epsilon", "1e-6"],
+        ["compile", "--axis=-0.6,0,0.8", "--angle", "1.3", "--epsilon", "1e-6"],
+        ["compile", "--matrix", "[[0,1],[1,0]]"],
+        ["compile", "--matrix", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]"],
+    ]
+    return cases
+
+
+def _stdout_of(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _mask_time(text: str) -> str:
+    text = re.sub(r'"compile_time_s": [^,}]+', '"compile_time_s": <masked>', text)
+    return re.sub(r"^time: .*$", "time: <masked>", text, flags=re.M)
+
+
+def golden_text(workdir: Path) -> str:
+    """Exit code and stdout of every golden case, then of `verify` on each JSON schedule.
+
+    Wall-clock compile times are masked; everything else must be byte-stable.
+    """
+    schedule = workdir / "schedule.json"
+    chunks = []
+    for argv in golden_cases():
+        code, out = _stdout_of(argv)
+        chunks.append(f"$ pulsegate {shlex.join(argv)}\nexit {code}\n{_mask_time(out)}")
+        if "text" not in argv:
+            schedule.write_text(out)
+            code, out = _stdout_of(["verify", "--schedule", str(schedule)])
+            chunks.append(f"$ pulsegate verify\nexit {code}\n{out}")
+    return "".join(chunks)
 
 
 class TestGateSpecs:
@@ -135,6 +192,63 @@ class TestSerialization:
         assert again["y"] == [math.pi, 1e-300]
 
 
+class TestUsageErrors:
+    """Bad input ends in exit 1 or 2 with a one-line message, never a traceback."""
+
+    def test_nan_euler_target_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "compile", "--euler=nan,0,0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_flat_matrix_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "compile", "--matrix", "[1,2]")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_too_few_axes_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "compile", "--gate", "H", "--axes", "3")
+        assert code == 2 and "n_axes" in err
+        code, _, err = run_cli(capsys, "bench", "--axes-list", "3", "--eps-decades", "1:1")
+        assert code == 2 and "n_axes" in err
+
+
+class TestVerifyRobustness:
+    def schedule(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "compile", "--gate", "H")
+        assert code == 0
+        return json.loads(out)
+
+    def verify(self, capsys, tmp_path, doc):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        return run_cli(capsys, "verify", "--schedule", str(path))
+
+    def test_nan_pulse_angle_is_mismatch(self, capsys, tmp_path):
+        doc = self.schedule(capsys, tmp_path)
+        doc["pulses"][0]["angle_rad"] = math.nan
+        code, out, _ = self.verify(capsys, tmp_path, doc)
+        assert code == 1
+        assert "MISMATCH" in out
+
+    def test_non_unit_target_axis_is_usage_error(self, capsys, tmp_path):
+        doc = self.schedule(capsys, tmp_path)
+        doc["target"] = {"axis": [1, 1, 1], "angle": 0.5}
+        code, _, err = self.verify(capsys, tmp_path, doc)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [{"pulses": []}, []])
+    def test_malformed_schedule(self, capsys, tmp_path, doc):
+        code, _, err = self.verify(capsys, tmp_path, doc)
+        assert code == 1
+        assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+
+
+class TestGolden:
+    def test_output_is_byte_identical_to_golden(self, tmp_path):
+        assert golden_text(tmp_path) == GOLDEN.read_text()
+
+
 class TestBenchCommand:
     def test_small_sweep_csv(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
@@ -159,3 +273,10 @@ class TestBenchCommand:
     def test_bad_decades(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--eps-decades", "8:1")
         assert code == 2
+
+
+if __name__ == "__main__":
+    # Rewrite the golden file: PYTHONPATH=src python tests/test_cli.py
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(golden_text(Path(tmp)))
+    sys.exit(0)

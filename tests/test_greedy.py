@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pulsegate import (
+    CompileError,
     GreedyConfig,
     XYPulse,
     allowed_axes,
@@ -14,6 +15,7 @@ from pulsegate import (
     residual_angle,
     rotation_unitary,
 )
+from pulsegate import greedy
 from pulsegate.greedy import InvalidConfigurationError
 from pulsegate.su2 import rx, rz, xy_rotation
 
@@ -58,10 +60,6 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidConfigurationError):
             GreedyConfig(eps_target=0.0)
-        with pytest.raises(InvalidConfigurationError):
-            GreedyConfig(eps_target=1e-4, damping_factor=1.0)
-        with pytest.raises(InvalidConfigurationError):
-            GreedyConfig(eps_target=1e-4, max_iters=0)
 
 
 class TestBestAxisStep:
@@ -170,8 +168,8 @@ class TestGreedyCompile:
             angle = residual_angle(fid)
             axis, best = best_axis_step(u, target, axes, angle)
             while best <= fid:
-                angle *= config.damping_factor
-                assert angle >= config.min_angle
+                angle *= greedy.DAMPING_FACTOR
+                assert angle >= greedy.MIN_ANGLE
                 axis, best = best_axis_step(u, target, axes, angle)
             u = rotation_unitary(axis.unit_vector(), angle) @ u
             fid = best
@@ -182,7 +180,11 @@ class TestGreedyCompile:
     def test_report_pre_pass_metrics(self, rng):
         target = random_unitary(rng)
         gate, report = greedy_compile(target, allowed_axes(18), GreedyConfig(1e-6))
-        assert report.pre_pass_distance >= report.post_pass_distance - 1e-12
+        assert report.pre_pass_distance >= gate.distance - 1e-12
         assert report.pre_pass_pulse_count >= report.post_pass_pulse_count
-        assert report.post_pass_distance == pytest.approx(gate.distance)
         assert report.post_pass_pulse_count == gate.pulse_count
+
+    def test_nan_target_fails_loudly(self):
+        target = np.full((2, 2), math.nan, dtype=complex)
+        with pytest.raises(CompileError):
+            greedy_compile(target, allowed_axes(6), GreedyConfig(1e-4))

@@ -13,7 +13,7 @@ from pulsegate import (
     pulse_count,
     sequence_unitary,
 )
-from pulsegate.ir import canonical_virtual_z, canonical_xy
+from pulsegate.ir import canonical_virtual_z, canonical_xy, schedule_error, schedule_unitary
 from pulsegate.su2 import rx, rz, xy_rotation
 
 from conftest import random_canonical_sequence
@@ -155,6 +155,21 @@ class TestAbsorbVirtualZ:
             pulses, _ = absorb_virtual_z(seq)
             again, frame = absorb_virtual_z(pulses)
             assert again == pulses and frame == 0.0
+
+
+class TestScheduleError:
+    def test_matches_steps_with_trailing_virtual_z(self, rng):
+        for _ in range(100):
+            pulses, frame = absorb_virtual_z(random_canonical_sequence(rng))
+            steps = pulses + [VirtualZ(frame)]
+            assert np.array_equal(schedule_unitary(pulses, frame), sequence_unitary(steps))
+
+    def test_exact_schedule_reads_zero(self):
+        assert schedule_error(rx(0.7), [XYPulse(0.0, 0.7)], 0.0) == 0.0
+
+    def test_nan_propagates(self):
+        assert math.isnan(schedule_error(rx(0.7), [XYPulse(0.0, math.nan)], 0.0))
+        assert math.isnan(schedule_error(rx(0.7), [XYPulse(0.0, 0.7)], math.nan))
 
 
 class TestCostMetrics:
