@@ -41,6 +41,17 @@ def golden_cases() -> list[list[str]]:
         ["compile", "--matrix", "[[0,1],[1,0]]"],
         ["compile", "--matrix", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]"],
     ]
+    # a 14-bit phase grid: large enough for the windowed axis choice
+    fine = ["--axes", "16386"]
+    for name in NAMED_GATES:
+        for eps in ("1e-2", "1e-6"):
+            cases.append(["compile", "--gate", name, *fine, "--epsilon", eps])
+    cases += [
+        ["compile", "--euler=-0.4,1.1,2.5", *fine, "--epsilon", "1e-6"],
+        ["compile", "--axis=-0.6,0,0.8", "--angle", "1.3", *fine, "--epsilon", "1e-6"],
+        ["compile", "--matrix", "[[0,1],[1,0]]", *fine],
+        ["compile", "--matrix", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]", *fine],
+    ]
     return cases
 
 
