@@ -2,10 +2,15 @@
 
 The loop, starting from the identity: read the current fidelity to the
 target, convert it to the coaxial residual angle, try that rotation
-about every allowed axis, keep the best strictly-improving candidate,
+about the allowed axes, keep the best strictly-improving candidate,
 and repeat until the gate error drops below the requested threshold.
 If no axis improves, the trial angle is halved (the residual-angle rule
 assumes the ideal axis is available; damping guarantees termination).
+
+Small axis sets are scored axis by axis. From WINDOW_MIN_AXES axes on,
+only +/-z and the few XY phases next to the optimal drive phase psi and
+to psi + pi are scored: the trial fidelity is convex in cos(phi - psi),
+so the best XY phase is always one of those grid neighbours.
 
 Allowed axes are the +/- z lines plus n_axes - 2 phases uniform on the
 XY-plane, so +/-x and +/-y are always present when 4 | (n_axes - 2).
@@ -22,12 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ir
-from .su2 import IDENTITY, hs_fidelity, residual_angle, rotation_unitary
+from .su2 import IDENTITY, TWO_PI, hs_fidelity, residual_angle, rotation_unitary
 
 # Stall safeguards: iteration budget, trial-angle halving, damping floor (radians).
 MAX_ITERS = 10_000
 DAMPING_FACTOR = 0.5
 MIN_ANGLE = 1e-12
+
+# From this many axes on, best_axis_step scores a window around the optimal
+# drive phase instead of the whole set (the measured cost crossover).
+WINDOW_MIN_AXES = 1000
 
 
 class InvalidConfigurationError(ValueError):
@@ -108,6 +117,27 @@ class GreedyConfig:
             raise InvalidConfigurationError("eps_target must be in (0, 1)")
 
 
+def _window(n_axes: int, tx: complex, ty: complex) -> np.ndarray | None:
+    """Set indices of +/-z and the XY phases next to psi and psi + pi, ascending.
+
+    tx and ty share one complex factor k, so with k the larger of the two,
+    atan2(Re(ty k*), Re(tx k*)) is the optimal drive phase psi mod pi.
+    Phase indices lo-1 .. lo+2 bracket psi with one index of slack for
+    rounding. None when psi is not finite (NaN input): the whole-set scan
+    then gives the same answer as it would below WINDOW_MIN_AXES.
+    """
+    x, y = complex(tx), complex(ty)
+    k = (x if abs(x) >= abs(y) else y).conjugate()
+    psi = math.atan2((y * k).real, (x * k).real)
+    if not math.isfinite(psi):
+        return None
+    m = n_axes - 2
+    lo = math.floor(psi * m / TWO_PI)
+    hi = math.floor((psi + math.pi) * m / TWO_PI)
+    phases = sorted({j % m for j in (lo - 1, lo, lo + 1, lo + 2, hi - 1, hi, hi + 1, hi + 2)})
+    return np.array([0, 1] + [2 + j for j in phases])
+
+
 def best_axis_step(
     current: np.ndarray,
     target: np.ndarray,
@@ -116,10 +146,13 @@ def best_axis_step(
 ) -> tuple[AllowedAxis, float]:
     """Best-fidelity axis for one trial rotation of `step_angle`.
 
-    Scores hs_fidelity(target, R_a(step_angle) @ current) for every axis
-    via the trace expansion Tr(T^dag R U) = Tr(R U T^dag) = cos(t/2) Tr(A) -
+    Scores hs_fidelity(target, R_a(step_angle) @ current) per axis via
+    the trace expansion Tr(T^dag R U) = Tr(R U T^dag) = cos(t/2) Tr(A) -
     i sin(t/2) (nx Tr(sx A) + ny Tr(sy A) + nz Tr(sz A)) with
     A = U T^dag, which is exactly the brute-force product fidelity.
+    Below WINDOW_MIN_AXES every axis is scored; from there on only +/-z
+    and the grid neighbours of the optimal drive phase psi and of
+    psi + pi (at most 10 axes), which always contain the best XY axis.
     Ties break to the first axis in the set's deterministic order.
     """
     a = current @ target.conj().T
@@ -129,10 +162,18 @@ def best_axis_step(
     tz = a[0, 0] - a[1, 1]
     c = math.cos(step_angle / 2.0)
     s = math.sin(step_angle / 2.0)
-    traces = c * t0 - 1j * s * (axes.nx * tx + axes.ny * ty + axes.nz * tz)
+    idx = _window(axes.n_axes, tx, ty) if axes.n_axes >= WINDOW_MIN_AXES else None
+    if idx is None:
+        nx, ny, nz = axes.nx, axes.ny, axes.nz
+    else:
+        nx, ny, nz = axes.nx[idx], axes.ny[idx], axes.nz[idx]
+    traces = c * t0 - 1j * s * (nx * tx + ny * ty + nz * tz)
     fids = np.abs(traces) ** 2 / 4.0
     i = int(np.argmax(fids))
-    return axes.axes[i], float(fids[i])
+    best = float(fids[i])
+    if idx is not None:
+        i = int(idx[i])
+    return axes.axes[i], best
 
 
 def _record_step(axis: AllowedAxis, angle: float) -> ir.PulseStep:
