@@ -14,6 +14,7 @@ significant digits, so serialize -> parse -> serialize is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -72,7 +73,10 @@ def _matrix_from_json(data) -> np.ndarray:
 
     if not (isinstance(data, list) and len(data) == 2 and all(len(r) == 2 for r in data)):
         raise GateSpecError("matrix must be 2x2")
-    return np.array([[entry(x) for x in row] for row in data])
+    u = np.array([[entry(x) for x in row] for row in data])
+    if not np.isfinite(u).all():  # before is_unitary, whose matmul would warn on NaN/inf
+        raise GateSpecError("matrix entries must be finite")
+    return u
 
 
 def resolve_gate_spec(args) -> GateSpec:
@@ -209,14 +213,13 @@ def schedule_to_text(gate: ir.CompiledGate) -> str:
 # subcommands
 
 
-def _add_gate_spec_flags(p: argparse.ArgumentParser, required: bool) -> None:
+def _add_gate_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gate", help="named gate: " + ", ".join(NAMED_GATES))
     p.add_argument("--euler", metavar="T,P,L", help="ZXZ Euler angles in radians")
     p.add_argument("--axis", metavar="NX,NY,NZ", help="rotation axis (unit vector)")
     p.add_argument("--angle", type=float, help="rotation angle for --axis, radians")
     p.add_argument("--matrix", help="inline 2x2 matrix as JSON")
     p.add_argument("--matrix-file", help="path to a JSON 2x2 matrix")
-    p.set_defaults(gate_spec_required=required)
 
 
 def cmd_compile(args) -> int:
@@ -299,40 +302,55 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error: <message>` line and exits 2.
+
+    Subparsers are built with the parent's class, so they inherit this.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser, built on the first call and shared by every later one.
+
+    Parsing keeps no state in the parser: each `parse_args` returns a
+    fresh Namespace, so one parser serves every `main` call in a process.
+    """
+    parser = _Parser(
         prog="pulsegate",
         description="Compile single-qubit gates to XY-plane pulses plus virtual-Z frame shifts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compile = sub.add_parser("compile", help="compile one gate")
-    _add_gate_spec_flags(p_compile, required=True)
+    _add_gate_spec_flags(p_compile)
     p_compile.add_argument("--axes", type=int, default=18, help="number of allowed axes (default 18)")
     p_compile.add_argument("--epsilon", type=float, default=1e-4, help="target gate error (default 1e-4)")
     p_compile.add_argument("--baseline", action="store_true", help="use the fixed two-pulse baseline")
     p_compile.add_argument("--format", choices=("json", "text"), default="json")
-    p_compile.set_defaults(func=cmd_compile)
 
     p_bench = sub.add_parser("bench", help="run the benchmark sweep")
     p_bench.add_argument("--axes-list", default="6,10,18,34", help="comma-separated axis counts")
     p_bench.add_argument("--eps-decades", default="1:8", help="eps range as LO:HI decades (10^-LO..10^-HI)")
     p_bench.add_argument("--out", help="CSV output path (default stdout)")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_verify = sub.add_parser("verify", help="re-evaluate a schedule file")
     p_verify.add_argument("--schedule", required=True, help="schedule JSON path")
-    _add_gate_spec_flags(p_verify, required=False)
-    p_verify.set_defaults(func=cmd_verify)
+    _add_gate_spec_flags(p_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not stored in the parser, so rebinding a command
+    # function (a test double or a tracing wrapper) takes effect
+    commands = {"compile": cmd_compile, "bench": cmd_bench, "verify": cmd_verify}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (GateSpecError, InvalidConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,13 +7,16 @@ import re
 import shlex
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pulsegate import hs_fidelity, sequence_unitary
-from pulsegate.cli import NAMED_GATES, canonical_json, main
+from pulsegate import cli, hs_fidelity, sequence_unitary
+from pulsegate.cli import NAMED_GATES, build_parser, canonical_json, main
 from pulsegate.ir import VirtualZ, XYPulse
 from pulsegate.su2 import rx
 
@@ -55,11 +59,19 @@ def golden_cases() -> list[list[str]]:
     return cases
 
 
-def _stdout_of(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
+def _outcome(argv: list[str]) -> tuple[object, str, str]:
+    """Exit status, stdout and stderr of one in-process call.
+
+    The status is `main`'s return value, or the code of a SystemExit it
+    raised (argparse exits on a usage error).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def _mask_time(text: str) -> str:
@@ -75,11 +87,11 @@ def golden_text(workdir: Path) -> str:
     schedule = workdir / "schedule.json"
     chunks = []
     for argv in golden_cases():
-        code, out = _stdout_of(argv)
+        code, out, _ = _outcome(argv)
         chunks.append(f"$ pulsegate {shlex.join(argv)}\nexit {code}\n{_mask_time(out)}")
         if "text" not in argv:
             schedule.write_text(out)
-            code, out = _stdout_of(["verify", "--schedule", str(schedule)])
+            code, out, _ = _outcome(["verify", "--schedule", str(schedule)])
             chunks.append(f"$ pulsegate verify\nexit {code}\n{out}")
     return "".join(chunks)
 
@@ -216,11 +228,226 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--gate", "H", "--bogus"],
+            [],
+            ["compile", "--axis", "-1,0,0", "--angle", "0.7"],
+            ["compile", "--gate", "H", "--epsilon", "abc"],
+            ["compile", "--gate", "H", "--format", "xml"],
+        ],
+        ids=["unknown-flag", "no-subcommand", "axis-space-form", "epsilon-abc", "format-xml"],
+    )
+    def test_argparse_error_is_one_line(self, argv):
+        code, out, err = _outcome(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("entry", ["Infinity", "NaN", "[1, NaN]"])
+    def test_non_finite_matrix_is_one_line_without_warning(self, entry):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _outcome(["compile", "--matrix", f"[[{entry}, 0], [0, 1]]"])
+        assert code == 2 and out == "" and not caught
+        assert err == "error: matrix entries must be finite\n"
+
     def test_too_few_axes_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--gate", "H", "--axes", "3")
         assert code == 2 and "n_axes" in err
         code, _, err = run_cli(capsys, "bench", "--axes-list", "3", "--eps-decades", "1:1")
         assert code == 2 and "n_axes" in err
+
+
+class TestParserReuse:
+    """One parser serves every `main` call in a process and keeps nothing between them."""
+
+    def test_no_parser_built_after_first_call(self, monkeypatch, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, out, _ = _outcome(["compile", "--gate", "H"])
+        assert code == 0
+        schedule = tmp_path / "h.json"
+        schedule.write_text(out)
+        built.clear()
+        for argv in (
+            ["compile", "--gate", "X", "--baseline"],
+            ["verify", "--schedule", str(schedule)],
+            ["compile", "--bogus"],
+            [],
+            ["compile", "--gate", "H", "--format", "text"],
+        ):
+            _outcome(argv)
+        assert built == []
+        assert build_parser() is build_parser()
+
+    def test_output_unchanged_after_usage_error_or_mismatch(self, tmp_path):
+        argv = ["compile", "--gate", "H"]
+        first = _outcome(argv)
+        assert first[0] == 0
+        doc = json.loads(first[1])
+        doc["pulses"][0]["angle_rad"] += 0.1
+        mismatch = tmp_path / "mismatch.json"
+        mismatch.write_text(json.dumps(doc))
+        for disturb in (
+            ["compile", "--gate", "H", "--epsilon", "abc"],
+            ["compile", "--axis", "-1,0,0", "--angle", "0.7"],
+            ["verify", "--schedule", str(mismatch), "--gate", "H"],
+        ):
+            code, out, _ = _outcome(disturb)
+            assert code in (1, 2)
+            if disturb[0] == "verify":
+                assert "MISMATCH" in out
+            again = _outcome(argv)
+            assert again[0] == 0 and again[2] == ""
+            assert _mask_time(again[1]) == _mask_time(first[1])
+
+    def test_commands_are_dispatched_by_name(self, monkeypatch):
+        build_parser()  # a parser built before the rebinding must still see it
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.schedule) or 0)
+        assert main(["verify", "--schedule", "s.json"]) == 0
+        assert seen == ["s.json"]
+
+
+# Tokens that parse to a NaN or an infinity; "-inf" and "-Infinity" contain one.
+NONFINITE = ("nan", "NaN", "inf", "Infinity", "1e999")
+_finite = st.floats(-4, 4).map(repr)
+_number = st.one_of(_finite, _finite, st.sampled_from(NONFINITE + ("-inf", "abc", "", "0x1", "2")))
+_triple = st.one_of(
+    st.lists(_finite, min_size=3, max_size=3).map(",".join),
+    st.lists(_number, min_size=1, max_size=4).map(",".join),
+)
+_unit_axis = st.one_of(
+    st.sampled_from(["0,0,1", "1,0,0", "0,-1,0", "0.6,0,0.8", "-0.6,0,0.8", "0,0,0"]),
+    st.sampled_from(["nan,0,1", "0,inf,0", "0.6,0,NaN", "1e999,0,0"]),
+    _triple,
+)
+
+
+def _rotation_json(t: float, bad: str | None, k: int) -> str:
+    """A real rotation matrix as JSON, with entry k replaced by `bad` if given."""
+    entries = [repr(math.cos(t)), repr(-math.sin(t)), repr(math.sin(t)), repr(math.cos(t))]
+    if bad is not None:
+        entries[k] = bad
+    a, b, c, d = entries
+    return f"[[{a}, {b}], [{c}, {d}]]"
+
+
+_json_scalar = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+_matrix = st.one_of(
+    st.builds(
+        _rotation_json,
+        st.floats(-4, 4),
+        st.sampled_from([None, None, "NaN", "Infinity", "-Infinity", "[1, NaN]", "[0, 1]"]),
+        st.integers(0, 3),
+    ),
+    st.lists(
+        st.lists(st.one_of(_json_scalar, st.lists(_json_scalar, max_size=3)), min_size=2, max_size=2),
+        min_size=2,
+        max_size=2,
+    ).map(json.dumps),
+    st.recursive(_json_scalar, lambda inner: st.lists(inner, max_size=3), max_leaves=6).map(json.dumps),
+    st.sampled_from(["[[0,1],[1,0]]", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]", "[[1,0],[0", ""]),
+)
+_TARGETS = {
+    "--gate": st.sampled_from(list(NAMED_GATES) + ["h", "sx", "Q", "", "CNOT"]),
+    "--euler": _triple,
+    "--axis": _unit_axis,
+    "--matrix": _matrix,
+}
+_OPTIONS = {
+    "--angle": _number,
+    "--axes": st.one_of(st.integers(4, 64), st.integers(-2, 64)).map(str) | st.sampled_from(["x", "1.5", ""]),
+    "--epsilon": st.one_of(
+        st.floats(1e-8, 0.5).map(repr),
+        st.sampled_from(["nan", "inf", "abc", "0", "-1", "1", "1e-8"]),
+    ),
+    "--format": st.sampled_from(["json", "json", "text", "xml"]),
+}
+
+
+def _nonfinite_target(flags: dict) -> bool:
+    """Whether the target the flags name contains a NaN or an infinity."""
+
+    def bad(flag):
+        return flag in flags and any(t in flags[flag] for t in NONFINITE)
+
+    return bad("--euler") or bad("--matrix") or (bad("--axis") or bad("--angle")) and "--axis" in flags
+
+
+class TestCliProperty:
+    """Every argv ends in exit 0, 1 or 2 with at most one `error:` line (bench and -h left out)."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli-property")
+        code, out, _ = _outcome(["compile", "--gate", "H"])
+        assert code == 0
+        doc = json.loads(out)
+        (root / "ok.json").write_text(out)
+        doc["pulses"][0]["angle_rad"] += 0.1
+        (root / "mismatch.json").write_text(json.dumps(doc))
+        doc["pulses"][0]["angle_rad"] = math.nan
+        (root / "nan-pulse.json").write_text(json.dumps(doc))
+        (root / "garbage.json").write_text("{not json")
+        (root / "matrix.json").write_text("[[0,1],[1,0]]")
+        (root / "nan-matrix.json").write_text("[[NaN,0],[0,1]]")
+        return {p.name: str(p) for p in root.iterdir()} | {"absent.json": str(root / "absent.json")}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_argv_exits_0_1_or_2(self, files, data):
+        draw = data.draw
+        paths = st.sampled_from(sorted(files)).map(files.get)
+        command = [*["compile"] * 6, "verify", "verify", "frobnicate", None][draw(st.integers(0, 9))]
+        form = draw(st.sampled_from([*_TARGETS, "--matrix", "--matrix-file", None]))
+        flags = {}
+        if form == "--matrix-file":
+            flags[form] = draw(paths)
+        elif form is not None:
+            flags[form] = draw(_TARGETS[form])
+        if form == "--axis" and draw(st.integers(0, 5)):
+            flags["--angle"] = draw(_number)
+        if command == "verify" and draw(st.integers(0, 5)):
+            flags["--schedule"] = draw(paths)
+        if command != "verify":
+            for name in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=3, unique=True)):
+                flags.setdefault(name, draw(_OPTIONS[name]))
+        if not draw(st.integers(0, 5)):  # a second target flag
+            name = draw(st.sampled_from(sorted(_TARGETS)))
+            flags.setdefault(name, draw(_TARGETS[name]))
+        argv = [] if command is None else [command]
+        for name, value in draw(st.permutations(list(flags.items()))):
+            # mostly "--flag=value": the space form reads a leading minus as a flag
+            argv += [f"{name}={value}"] if draw(st.integers(0, 3)) else [name, value]
+        argv += [[], [], [], [], ["--baseline"], ["--baseline"], ["--bogus"]][draw(st.integers(0, 6))]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would be more stderr lines
+            code, out, err = _outcome(argv)
+
+        assert code in (0, 1, 2), (argv, code, err)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, (argv, err)
+        if code == 2:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        if code == 0:
+            assert err == "", (argv, err)
+            nan_file = flags.get("--matrix-file") == files["nan-matrix.json"]
+            assert not (_nonfinite_target(flags) or nan_file), (argv, out)
 
 
 class TestVerifyRobustness:
