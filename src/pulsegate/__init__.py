@@ -29,7 +29,6 @@ from .ir import (
     sequence_unitary,
 )
 from .greedy import (
-    AllowedAxis,
     AxisSet,
     CompileError,
     GreedyConfig,
@@ -68,7 +67,6 @@ __all__ = [
     "merge_adjacent",
     "pulse_count",
     "sequence_unitary",
-    "AllowedAxis",
     "AxisSet",
     "CompileError",
     "GreedyConfig",

@@ -92,6 +92,8 @@ def resolve_gate_spec(args) -> GateSpec:
         ]
         if value is not None
     ]
+    if args.angle is not None and args.axis is None:
+        raise GateSpecError("--angle requires --axis")
     if len(given) != 1:
         raise GateSpecError("specify exactly one of --gate/--euler/--axis/--matrix/--matrix-file")
     if args.gate is not None:
@@ -286,7 +288,8 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read schedule: {exc}", file=sys.stderr)
         return 1
-    given = any(x is not None for x in (args.gate, args.euler, args.axis, args.matrix, args.matrix_file))
+    flags = (args.gate, args.euler, args.axis, args.angle, args.matrix, args.matrix_file)
+    given = any(x is not None for x in flags)
     try:
         pulses = [ir.XYPulse(float(p["phase_rad"]), float(p["angle_rad"])) for p in doc["pulses"]]
         frame = float(doc["frame_phase_rad"])

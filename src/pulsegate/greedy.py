@@ -14,8 +14,10 @@ so the best XY phase is always one of those grid neighbours.
 
 Allowed axes are the +/- z lines plus n_axes - 2 phases uniform on the
 XY-plane, so +/-x and +/-y are always present when 4 | (n_axes - 2).
-Z-line steps are recorded as free virtual-Z shifts; the finishing passes
-merge adjacent rotations and absorb the virtual-Zs into pulse phases.
+An axis set is held only as its unit-vector columns, and an axis is its
+row index in them. Z-line steps are recorded as free virtual-Z shifts;
+the finishing passes merge adjacent rotations and absorb the virtual-Zs
+into pulse phases.
 """
 
 from __future__ import annotations
@@ -61,49 +63,37 @@ class NoProgressError(CompileError):
 
 
 @dataclass(frozen=True)
-class AllowedAxis:
-    """One allowed rotation axis: a z line (z_sign = +/-1) or an XY phase."""
-
-    z_sign: int
-    phase: float
-
-    @property
-    def is_z_line(self) -> bool:
-        return self.z_sign != 0
-
-    def unit_vector(self) -> tuple[float, float, float]:
-        if self.z_sign != 0:
-            return (0.0, 0.0, float(self.z_sign))
-        return (math.cos(self.phase), math.sin(self.phase), 0.0)
-
-
-@dataclass(frozen=True)
 class AxisSet:
-    """Deterministically ordered allowed axes: +z, -z, then XY phases ascending."""
+    """Allowed axes as unit-vector columns: row i of nx, ny, nz is axis i.
+
+    Rows are in the set's deterministic order: +z, -z, then the
+    n_axes - 2 XY phases ascending, so nz is [1, -1, 0, ...].
+    """
 
     n_axes: int
-    axes: tuple[AllowedAxis, ...]
-    # unit-vector components, row-aligned with `axes`, for vectorized scoring
-    nx: np.ndarray = field(repr=False, compare=False, default=None)
-    ny: np.ndarray = field(repr=False, compare=False, default=None)
-    nz: np.ndarray = field(repr=False, compare=False, default=None)
+    nx: np.ndarray = field(repr=False, compare=False)
+    ny: np.ndarray = field(repr=False, compare=False)
+    nz: np.ndarray = field(repr=False, compare=False)
+
+    def phase(self, i: int | np.ndarray) -> float | np.ndarray:
+        """Drive phase of XY axis i (i >= 2), radians; i may be an index array."""
+        return TWO_PI * (i - 2) / (self.n_axes - 2)
 
 
 def allowed_axes(n_axes: int) -> AxisSet:
-    """Build the axis set {+z, -z} plus n_axes - 2 uniform XY phases."""
+    """Build the axis set {+z, -z} plus n_axes - 2 uniform XY phases.
+
+    The XY components are math.cos/math.sin of each phase rather than
+    np.cos/np.sin, whose last bit depends on the SIMD kernel numpy picks.
+    """
     if n_axes < 4:
         raise InvalidConfigurationError(f"n_axes must be >= 4, got {n_axes}")
-    axes = [AllowedAxis(+1, 0.0), AllowedAxis(-1, 0.0)]
-    m = n_axes - 2
-    axes.extend(AllowedAxis(0, 2.0 * math.pi * k / m) for k in range(m))
-    vectors = np.array([a.unit_vector() for a in axes])
-    return AxisSet(
-        n_axes=n_axes,
-        axes=tuple(axes),
-        nx=vectors[:, 0],
-        ny=vectors[:, 1],
-        nz=vectors[:, 2],
-    )
+    axes = AxisSet(n_axes, np.zeros(n_axes), np.zeros(n_axes), np.zeros(n_axes))
+    phases = axes.phase(np.arange(2, n_axes))
+    axes.nx[2:] = np.fromiter(map(math.cos, phases), float, n_axes - 2)
+    axes.ny[2:] = np.fromiter(map(math.sin, phases), float, n_axes - 2)
+    axes.nz[:2] = (1.0, -1.0)
+    return axes
 
 
 @dataclass(frozen=True)
@@ -143,8 +133,8 @@ def best_axis_step(
     target: np.ndarray,
     axes: AxisSet,
     step_angle: float,
-) -> tuple[AllowedAxis, float]:
-    """Best-fidelity axis for one trial rotation of `step_angle`.
+) -> tuple[int, float]:
+    """Set index and fidelity of the best axis for one trial rotation of `step_angle`.
 
     Scores hs_fidelity(target, R_a(step_angle) @ current) per axis via
     the trace expansion Tr(T^dag R U) = Tr(R U T^dag) = cos(t/2) Tr(A) -
@@ -173,13 +163,7 @@ def best_axis_step(
     best = float(fids[i])
     if idx is not None:
         i = int(idx[i])
-    return axes.axes[i], best
-
-
-def _record_step(axis: AllowedAxis, angle: float) -> ir.PulseStep:
-    if axis.is_z_line:
-        return ir.VirtualZ(axis.z_sign * angle)
-    return ir.XYPulse(axis.phase, angle)
+    return i, best
 
 
 def greedy_compile(
@@ -204,7 +188,7 @@ def greedy_compile(
         if iterations >= MAX_ITERS:
             raise MaxItersError(f"no convergence within {MAX_ITERS} iterations", steps, fid)
         angle = residual_angle(fid)
-        axis, best = best_axis_step(u, target, axes, angle)
+        i, best = best_axis_step(u, target, axes, angle)
         while best <= fid:
             angle *= DAMPING_FACTOR
             damped += 1
@@ -212,9 +196,12 @@ def greedy_compile(
                 raise NoProgressError(
                     "damping floor reached with no improving axis", steps, fid
                 )
-            axis, best = best_axis_step(u, target, axes, angle)
-        steps.append(_record_step(axis, angle))
-        u = rotation_unitary(axis.unit_vector(), angle) @ u
+            i, best = best_axis_step(u, target, axes, angle)
+        if i < 2:  # the +z or -z line: a free virtual-Z shift
+            steps.append(ir.VirtualZ((1 - 2 * i) * angle))
+        else:
+            steps.append(ir.XYPulse(axes.phase(i), angle))
+        u = rotation_unitary((axes.nx[i], axes.ny[i], axes.nz[i]), angle) @ u
         fid = best
         iterations += 1
 

@@ -252,6 +252,25 @@ class TestUsageErrors:
         assert code == 2 and out == "" and not caught
         assert err == "error: matrix entries must be finite\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--gate", "H", "--angle", "nan"],
+            ["compile", "--angle", "0.7"],
+            ["verify", "--schedule", "SCHEDULE", "--angle", "nan"],
+            ["verify", "--schedule", "SCHEDULE", "--gate", "H", "--angle", "inf"],
+        ],
+        ids=["compile-gate", "compile-alone", "verify-embedded-target", "verify-gate"],
+    )
+    def test_angle_without_axis_is_usage_error(self, tmp_path, argv):
+        code, out, _ = _outcome(["compile", "--gate", "H"])
+        assert code == 0
+        schedule = tmp_path / "h.json"
+        schedule.write_text(out)
+        code, out, err = _outcome([str(schedule) if a == "SCHEDULE" else a for a in argv])
+        assert code == 2 and out == ""
+        assert err == "error: --angle requires --axis\n"
+
     def test_too_few_axes_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--gate", "H", "--axes", "3")
         assert code == 2 and "n_axes" in err
@@ -380,12 +399,12 @@ _OPTIONS = {
 
 
 def _nonfinite_target(flags: dict) -> bool:
-    """Whether the target the flags name contains a NaN or an infinity."""
+    """Whether a target flag or --angle holds a NaN or an infinity."""
 
     def bad(flag):
         return flag in flags and any(t in flags[flag] for t in NONFINITE)
 
-    return bad("--euler") or bad("--matrix") or (bad("--axis") or bad("--angle")) and "--axis" in flags
+    return any(bad(flag) for flag in ("--euler", "--matrix", "--axis", "--angle"))
 
 
 class TestCliProperty:
@@ -419,7 +438,8 @@ class TestCliProperty:
             flags[form] = draw(paths)
         elif form is not None:
             flags[form] = draw(_TARGETS[form])
-        if form == "--axis" and draw(st.integers(0, 5)):
+        # --axis needs --angle; with any other form (or none) --angle is a usage error
+        if draw(st.integers(0, 5)) >= (1 if form == "--axis" else 5):
             flags["--angle"] = draw(_number)
         if command == "verify" and draw(st.integers(0, 5)):
             flags["--schedule"] = draw(paths)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,28 +25,35 @@ from pulsegate.su2 import rx, rz, xy_rotation
 from conftest import random_unitary
 
 
+def unit_vector(axes, i):
+    """Axis i's unit vector from its definition, not from the set's columns."""
+    if i < 2:
+        return (0.0, 0.0, 1.0 - 2 * i)
+    return (math.cos(axes.phase(i)), math.sin(axes.phase(i)), 0.0)
+
+
 def brute_force_step(current, target, axes, step_angle):
     """Independent oracle: explicit product fidelity for every axis."""
-    best_axis, best_fid = None, -1.0
-    for axis in axes.axes:
-        u = rotation_unitary(axis.unit_vector(), step_angle) @ current
+    best_i, best_fid = None, -1.0
+    for i in range(axes.n_axes):
+        u = rotation_unitary(unit_vector(axes, i), step_angle) @ current
         f = hs_fidelity(target, u)
         if f > best_fid:
-            best_axis, best_fid = axis, f
-    return best_axis, best_fid
+            best_i, best_fid = i, f
+    return best_i, best_fid
 
 
 class TestAllowedAxes:
     def test_six_axes(self):
         axes = allowed_axes(6)
         assert axes.n_axes == 6
-        assert [a.z_sign for a in axes.axes[:2]] == [1, -1]
-        phases = [a.phase for a in axes.axes[2:]]
+        assert axes.nz[:2].tolist() == [1, -1]
+        phases = [axes.phase(i) for i in range(2, 6)]
         assert phases == pytest.approx([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 
     def test_ten_axes_spacing(self):
         axes = allowed_axes(10)
-        phases = [a.phase for a in axes.axes[2:]]
+        phases = [axes.phase(i) for i in range(2, axes.n_axes)]
         assert len(phases) == 8
         assert np.allclose(np.diff(phases), math.pi / 4)
 
@@ -54,8 +62,32 @@ class TestAllowedAxes:
             allowed_axes(3)
 
     def test_nesting(self):
-        sets = {n: {(a.z_sign, a.phase) for a in allowed_axes(n).axes} for n in (6, 10, 18, 34)}
+        sets = {}
+        for n in (6, 10, 18, 34):
+            axes = allowed_axes(n)
+            sets[n] = set(zip(axes.nx.tolist(), axes.ny.tolist(), axes.nz.tolist()))
+            assert len(sets[n]) == n
         assert sets[6] < sets[10] < sets[18] < sets[34]
+
+    @pytest.mark.parametrize("n_axes", [6, 18, 34, 16386, 2**20 + 2])
+    def test_columns_are_libm_cos_sin_of_the_phases(self, n_axes):
+        axes = allowed_axes(n_axes)
+        xy = range(2, n_axes)
+        nx = np.array([0.0, 0.0] + [math.cos(axes.phase(i)) for i in xy])
+        ny = np.array([0.0, 0.0] + [math.sin(axes.phase(i)) for i in xy])
+        nz = np.array([1.0, -1.0] + [0.0] * (n_axes - 2))
+        for column, expected in ((axes.nx, nx), (axes.ny, ny), (axes.nz, nz)):
+            assert column.dtype == np.float64 and column.tobytes() == expected.tobytes()
+
+    def test_million_axes_memory_bound(self):
+        # the three columns are 24 MiB; the rest of the bound is room for temporaries
+        tracemalloc.start()
+        try:
+            allowed_axes(2**20 + 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestConfig:
@@ -67,23 +99,23 @@ class TestConfig:
 class TestBestAxisStep:
     def test_exact_target_on_xy_axis(self):
         axes = allowed_axes(6)
-        axis, fid = best_axis_step(np.eye(2), rx(math.pi / 2), axes, math.pi / 2)
-        assert not axis.is_z_line and axis.phase == 0.0
+        i, fid = best_axis_step(np.eye(2), rx(math.pi / 2), axes, math.pi / 2)
+        assert i == 2 and axes.phase(i) == 0.0
         assert fid == pytest.approx(1.0, abs=1e-14)
 
     def test_exact_target_on_z_axis(self):
         axes = allowed_axes(6)
-        axis, fid = best_axis_step(np.eye(2), rz(0.7), axes, 0.7)
-        assert axis.z_sign == 1
+        i, fid = best_axis_step(np.eye(2), rz(0.7), axes, 0.7)
+        assert i == 0
         assert fid == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_brute_force(self, rng):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         axes = allowed_axes(18)
         angle = residual_angle(hs_fidelity(h, np.eye(2)))
-        axis, fid = best_axis_step(np.eye(2), h, axes, angle)
-        oracle_axis, oracle_fid = brute_force_step(np.eye(2), h, axes, angle)
-        assert axis == oracle_axis
+        i, fid = best_axis_step(np.eye(2), h, axes, angle)
+        oracle_i, oracle_fid = brute_force_step(np.eye(2), h, axes, angle)
+        assert i == oracle_i
         assert fid == pytest.approx(oracle_fid, abs=1e-13)
 
     def test_matches_brute_force_random(self, rng):
@@ -92,10 +124,10 @@ class TestBestAxisStep:
             current = random_unitary(rng)
             target = random_unitary(rng)
             angle = rng.uniform(1e-3, math.pi)
-            axis, fid = best_axis_step(current, target, axes, angle)
-            oracle_axis, oracle_fid = brute_force_step(current, target, axes, angle)
+            i, fid = best_axis_step(current, target, axes, angle)
+            oracle_i, oracle_fid = brute_force_step(current, target, axes, angle)
             assert fid == pytest.approx(oracle_fid, abs=1e-12)
-            assert axis == oracle_axis
+            assert i == oracle_i
 
 
 def scan_step(current, target, axes, step_angle):
@@ -110,7 +142,7 @@ def scan_step(current, target, axes, step_angle):
     traces = c * t0 - 1j * s * (axes.nx * tx + axes.ny * ty + axes.nz * tz)
     fids = np.abs(traces) ** 2 / 4.0
     i = int(np.argmax(fids))
-    return axes.axes[i], float(fids[i])
+    return i, float(fids[i])
 
 
 def product_fidelities(current, target, axes, step_angle, chunk=1 << 16):
@@ -169,14 +201,14 @@ class TestWindow:
     def check_against_oracle(self, axes, draw):
         qu, qt, phase, angle = draw
         current, target = su2_of(qu, 0.0), su2_of(qt, phase)
-        axis, fid = best_axis_step(current, target, axes, angle)
+        i, fid = best_axis_step(current, target, axes, angle)
         fids = product_fidelities(current, target, axes, angle)
         top = int(np.argmax(fids))
         second = np.max(np.delete(fids, top))
         assert fid == pytest.approx(fids[top], abs=1e-14)
         if fids[top] - second > 1e-15:
-            assert axis == axes.axes[top]
-            assert (axis, fid) == scan_step(current, target, axes, angle)
+            assert i == top
+            assert (i, fid) == scan_step(current, target, axes, angle)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(draw=draws)
@@ -205,38 +237,38 @@ class TestWindow:
         # tx = ty = 0 exactly: psi is atan2(0, 0), and a z line wins
         current, target = rz(0.3), rz(1.0)
         for angle in (0.7, 2.0, math.pi):
-            axis, fid = best_axis_step(current, target, fine_axes, angle)
-            assert axis.is_z_line
-            assert (axis, fid) == scan_step(current, target, fine_axes, angle)
+            i, fid = best_axis_step(current, target, fine_axes, angle)
+            assert i < 2
+            assert (i, fid) == scan_step(current, target, fine_axes, angle)
 
     def test_no_residual_is_a_full_tie(self, fine_axes):
         # every axis scores cos^2(t/2): the first axis in set order wins
         target = random_unitary(np.random.default_rng(3))
-        axis, fid = best_axis_step(target, target, fine_axes, 0.4)
-        assert axis == fine_axes.axes[0]
+        i, fid = best_axis_step(target, target, fine_axes, 0.4)
+        assert i == 0
         assert fid == scan_step(target, target, fine_axes, 0.4)[1]
 
     @pytest.mark.parametrize("k", [0, 1, 4096, 5000, 12288, 16383])
     def test_psi_on_a_grid_phase(self, fine_axes, k):
-        phase = fine_axes.axes[2 + k].phase
-        axis, fid = best_axis_step(np.eye(2), xy_rotation(phase, 0.9), fine_axes, 0.9)
-        assert axis == fine_axes.axes[2 + k]
+        phase = fine_axes.phase(2 + k)
+        i, fid = best_axis_step(np.eye(2), xy_rotation(phase, 0.9), fine_axes, 0.9)
+        assert i == 2 + k
         assert fid == pytest.approx(1.0, abs=1e-14)
-        assert (axis, fid) == scan_step(np.eye(2), xy_rotation(phase, 0.9), fine_axes, 0.9)
+        assert (i, fid) == scan_step(np.eye(2), xy_rotation(phase, 0.9), fine_axes, 0.9)
 
     def test_psi_midway_first_in_set_order_wins(self):
         # with m = 16386 phases, psi = pi/2 lies midway between phases 4096
         # and 4097; a real y rotation makes tx exactly 0, so the two score
         # the same bits and the first one in set order must win
         axes = allowed_axes(16388)
-        first, second = axes.axes[2 + 4096], axes.axes[2 + 4097]
-        assert (first.phase + second.phase) / 2 == pytest.approx(math.pi / 2, abs=1e-15)
+        first, second = 2 + 4096, 2 + 4097
+        assert (axes.phase(first) + axes.phase(second)) / 2 == pytest.approx(math.pi / 2, abs=1e-15)
         c, s = math.cos(0.45), math.sin(0.45)
         target = np.array([[c, -s], [s, c]], dtype=complex)
-        axis, fid = best_axis_step(np.eye(2), target, axes, 0.9)
-        assert axes.ny[2 + 4096] == axes.ny[2 + 4097]
-        assert axis == first
-        assert (axis, fid) == scan_step(np.eye(2), target, axes, 0.9)
+        i, fid = best_axis_step(np.eye(2), target, axes, 0.9)
+        assert axes.ny[first] == axes.ny[second]
+        assert i == first
+        assert (i, fid) == scan_step(np.eye(2), target, axes, 0.9)
 
     @pytest.mark.parametrize("shift", [-0.3, -0.7, 0.3])
     def test_window_wraps_across_phase_zero(self, fine_axes, shift):
@@ -244,25 +276,27 @@ class TestWindow:
         step = 2.0 * math.pi / 16384
         for psi in (shift * step, math.pi + shift * step):
             target = xy_rotation(psi, 1.1)
-            axis, fid = best_axis_step(np.eye(2), target, fine_axes, 1.1)
-            assert abs(math.remainder(axis.phase - psi, 2.0 * math.pi)) <= step / 2
-            assert (axis, fid) == scan_step(np.eye(2), target, fine_axes, 1.1)
+            i, fid = best_axis_step(np.eye(2), target, fine_axes, 1.1)
+            assert i >= 2
+            assert abs(math.remainder(fine_axes.phase(i) - psi, 2.0 * math.pi)) <= step / 2
+            assert (i, fid) == scan_step(np.eye(2), target, fine_axes, 1.1)
 
     @pytest.mark.parametrize("phase", [2.5, -2.0, 4.0])
     def test_best_axis_on_the_psi_plus_pi_side(self, fine_axes, phase):
         # psi is read mod pi: in (-pi/2, pi/2] when |tx| >= |ty|, else in
         # (0, pi), so each of these residual axes lies at psi + pi
         target = xy_rotation(phase, 0.8)
-        axis, fid = best_axis_step(np.eye(2), target, fine_axes, 0.8)
-        assert abs(math.remainder(axis.phase - phase, 2.0 * math.pi)) <= math.pi / 16384
-        assert (axis, fid) == scan_step(np.eye(2), target, fine_axes, 0.8)
+        i, fid = best_axis_step(np.eye(2), target, fine_axes, 0.8)
+        assert i >= 2
+        assert abs(math.remainder(fine_axes.phase(i) - phase, 2.0 * math.pi)) <= math.pi / 16384
+        assert (i, fid) == scan_step(np.eye(2), target, fine_axes, 0.8)
 
     @pytest.mark.parametrize("which", ["current", "target"])
     def test_non_finite_input_matches_scan(self, fine_axes, which):
         nan = np.full((2, 2), math.nan, dtype=complex)
         current, target = (nan, np.eye(2)) if which == "current" else (np.eye(2), nan)
-        axis, fid = best_axis_step(current, target, fine_axes, 0.5)
-        assert axis == fine_axes.axes[0] == scan_step(current, target, fine_axes, 0.5)[0]
+        i, fid = best_axis_step(current, target, fine_axes, 0.5)
+        assert i == 0 == scan_step(current, target, fine_axes, 0.5)[0]
         assert math.isnan(fid)
 
 
@@ -284,11 +318,11 @@ class TestGreedyCompile:
     def test_targets_on_allowed_axes_need_at_most_one_pulse(self, rng):
         axes = allowed_axes(10)
         config = GreedyConfig(1e-8)
-        for axis in axes.axes:
+        for i in range(axes.n_axes):
             theta = rng.uniform(0.1, math.pi)
-            target = rotation_unitary(axis.unit_vector(), theta)
+            target = rotation_unitary(unit_vector(axes, i), theta)
             gate, _ = greedy_compile(target, axes, config)
-            assert gate.pulse_count == (0 if axis.is_z_line else 1)
+            assert gate.pulse_count == (0 if i < 2 else 1)
 
     def test_random_zx_targets_meet_tolerance(self, rng):
         axes = allowed_axes(18)
@@ -336,12 +370,12 @@ class TestGreedyCompile:
         fids = [fid]
         while 1.0 - fid > config.eps_target:
             angle = residual_angle(fid)
-            axis, best = best_axis_step(u, target, axes, angle)
+            i, best = best_axis_step(u, target, axes, angle)
             while best <= fid:
                 angle *= greedy.DAMPING_FACTOR
                 assert angle >= greedy.MIN_ANGLE
-                axis, best = best_axis_step(u, target, axes, angle)
-            u = rotation_unitary(axis.unit_vector(), angle) @ u
+                i, best = best_axis_step(u, target, axes, angle)
+            u = rotation_unitary(unit_vector(axes, i), angle) @ u
             fid = best
             fids.append(fid)
         assert all(b > a for a, b in zip(fids, fids[1:]))
