@@ -14,7 +14,6 @@ from .su2 import (
     euler_matrix,
     euler_zxz,
     hs_fidelity,
-    residual_angle,
     rotation_unitary,
 )
 from .ir import (
@@ -56,7 +55,6 @@ __all__ = [
     "euler_matrix",
     "euler_zxz",
     "hs_fidelity",
-    "residual_angle",
     "rotation_unitary",
     "CompiledGate",
     "CompileReport",

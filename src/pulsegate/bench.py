@@ -80,19 +80,22 @@ def run_sweep(
 ) -> list[SweepRow] | tuple[list[SweepRow], dict]:
     """Compile the dataset for every (n_axes, eps_target) pair.
 
-    Failures (stall or iteration budget) are counted per row and excluded
-    from the means; time_mean_s averages each gate's own compile_time.
-    With keep_gates=True also returns the per-gate CompiledGate lists
-    keyed by (n_axes, eps_target), for verification.
+    Every axis count and eps_target is validated before the first
+    compile. Failures (stall or iteration budget) are counted per row and
+    excluded from the means; time_mean_s averages each gate's own
+    compile_time. With keep_gates=True also returns the per-gate
+    CompiledGate lists keyed by (n_axes, eps_target), for verification.
     """
     if dataset is None:
         dataset = evaluation_dataset()
+    axis_sets = [allowed_axes(n) for n in axes_list]
+    configs = [GreedyConfig(eps_target=eps) for eps in eps_list]
     rows: list[SweepRow] = []
     gates: dict[tuple[int, float], list[CompiledGate | None]] = {}
-    for n_axes in axes_list:
-        axes = allowed_axes(n_axes)
-        for eps in eps_list:
-            config = GreedyConfig(eps_target=eps)
+    for axes in axis_sets:
+        n_axes = axes.n_axes
+        for config in configs:
+            eps = config.eps_target
             eps_sum = dist_sum = pulses_sum = time_sum = 0.0
             failures = 0
             cell: list[CompiledGate | None] = []

@@ -239,7 +239,7 @@ def cmd_compile(args) -> int:
         except CompileError as exc:
             print(
                 f"error: compilation failed: {exc} "
-                f"(best fidelity {exc.fidelity:.12g}, {len(exc.steps)} steps)",
+                f"(best error {exc.error:.12g}, {len(exc.steps)} steps)",
                 file=sys.stderr,
             )
             return 1

@@ -1,44 +1,56 @@
 """Greedy residual-angle compiler over a discrete set of allowed axes.
 
-The loop, starting from the identity: read the current fidelity to the
-target, convert it to the coaxial residual angle, try that rotation
-about the allowed axes, keep the best strictly-improving candidate,
-and repeat until the gate error drops below the requested threshold.
-If no axis improves, the trial angle is halved (the residual-angle rule
-assumes the ideal axis is available; damping guarantees termination).
+The loop state is A = U T^dag, the schedule so far times the inverse
+target, held as the four real numbers (a0, a) of
+A = e^{ig} (a0 I - i a.sigma). The gate error is |a|^2, summed from the
+vector part rather than taken as 1 - F, so it does not cancel near
+F = 1. Starting from the identity, the loop tries the coaxial residual
+angle 2 atan2(|a|, |a0|) about the allowed axes, keeps the axis that
+lowers |a|^2 the most, and repeats until |a|^2 drops to the requested
+threshold. If no axis lowers it, the trial angle is halved (the
+residual-angle rule assumes the ideal axis is available; damping
+guarantees termination).
 
-Small axis sets are scored axis by axis. From WINDOW_MIN_AXES axes on,
-only +/-z and the few XY phases next to the optimal drive phase psi and
-to psi + pi are scored: the trial fidelity is convex in cos(phi - psi),
-so the best XY phase is always one of those grid neighbours.
+An XY axis at drive phase phi enters a step only through
+n.a = |a_xy| cos(phi - psi), with psi = atan2(ay, ax), and the step's
+error is concave in that product, so the best XY axis is always a grid
+neighbour of psi or of psi + pi. Each step therefore scores +/-z and at
+most 8 XY phases, whatever the size of the set.
 
 Allowed axes are the +/- z lines plus n_axes - 2 phases uniform on the
 XY-plane, so +/-x and +/-y are always present when 4 | (n_axes - 2).
-An axis set is held only as its unit-vector columns, and an axis is its
-row index in them. Z-line steps are recorded as free virtual-Z shifts;
-the finishing passes merge adjacent rotations and absorb the virtual-Zs
-into pulse phases.
+An axis is its index in set order. Z-line steps are recorded as free
+virtual-Z shifts; the finishing passes merge adjacent rotations and
+absorb the virtual-Zs into pulse phases.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import ir
-from .su2 import IDENTITY, TWO_PI, hs_fidelity, residual_angle, rotation_unitary
+from .su2 import TWO_PI, quaternion
 
 # Stall safeguards: iteration budget, trial-angle halving, damping floor (radians).
 MAX_ITERS = 10_000
 DAMPING_FACTOR = 0.5
 MIN_ANGLE = 1e-12
 
-# From this many axes on, best_axis_step scores a window around the optimal
-# drive phase instead of the whole set (the measured cost crossover).
-WINDOW_MIN_AXES = 1000
+# A later candidate axis replaces the best so far only when its error is
+# lower by more than TIE_RTOL * (|a|^2 + s^2), s = sin(angle / 2): the
+# squared size of the terms every candidate's error is summed from, and so
+# the scale of its rounding. Rounding then cannot break an exact tie
+# against the first axis in set order.
+TIE_RTOL = 1e-12
+
+# The largest set size with provably distinct XY phases: up to 2**51
+# phases, 2 pi j stays below 2**54, so adjacent products differ by more
+# than 4, and after the division by n_axes - 2 by more than one ulp of 2 pi.
+MAX_AXES = 2**51 + 2
+
+State = tuple[float, float, float, float]
 
 
 class InvalidConfigurationError(ValueError):
@@ -46,12 +58,12 @@ class InvalidConfigurationError(ValueError):
 
 
 class CompileError(RuntimeError):
-    """Compilation failed; carries the best-so-far schedule for diagnostics."""
+    """Compilation failed; carries the best-so-far schedule and its error."""
 
-    def __init__(self, message: str, steps: list[ir.PulseStep], fidelity: float):
+    def __init__(self, message: str, steps: list[ir.PulseStep], error: float):
         super().__init__(message)
         self.steps = steps
-        self.fidelity = fidelity
+        self.error = error
 
 
 class MaxItersError(CompileError):
@@ -59,41 +71,27 @@ class MaxItersError(CompileError):
 
 
 class NoProgressError(CompileError):
-    """Damping floor reached with no fidelity-improving axis."""
+    """Damping floor reached with no error-lowering axis."""
 
 
 @dataclass(frozen=True)
 class AxisSet:
-    """Allowed axes as unit-vector columns: row i of nx, ny, nz is axis i.
-
-    Rows are in the set's deterministic order: +z, -z, then the
-    n_axes - 2 XY phases ascending, so nz is [1, -1, 0, ...].
-    """
+    """Allowed axes in set order: +z, -z, then the n_axes - 2 XY phases ascending."""
 
     n_axes: int
-    nx: np.ndarray = field(repr=False, compare=False)
-    ny: np.ndarray = field(repr=False, compare=False)
-    nz: np.ndarray = field(repr=False, compare=False)
 
-    def phase(self, i: int | np.ndarray) -> float | np.ndarray:
-        """Drive phase of XY axis i (i >= 2), radians; i may be an index array."""
+    def phase(self, i: int) -> float:
+        """Drive phase of XY axis i (i >= 2), radians."""
         return TWO_PI * (i - 2) / (self.n_axes - 2)
 
 
 def allowed_axes(n_axes: int) -> AxisSet:
-    """Build the axis set {+z, -z} plus n_axes - 2 uniform XY phases.
-
-    The XY components are math.cos/math.sin of each phase rather than
-    np.cos/np.sin, whose last bit depends on the SIMD kernel numpy picks.
-    """
+    """The axis set {+z, -z} plus n_axes - 2 uniform XY phases; O(1) time and memory."""
     if n_axes < 4:
         raise InvalidConfigurationError(f"n_axes must be >= 4, got {n_axes}")
-    axes = AxisSet(n_axes, np.zeros(n_axes), np.zeros(n_axes), np.zeros(n_axes))
-    phases = axes.phase(np.arange(2, n_axes))
-    axes.nx[2:] = np.fromiter(map(math.cos, phases), float, n_axes - 2)
-    axes.ny[2:] = np.fromiter(map(math.sin, phases), float, n_axes - 2)
-    axes.nz[:2] = (1.0, -1.0)
-    return axes
+    if n_axes > MAX_AXES:
+        raise InvalidConfigurationError(f"n_axes must be <= {MAX_AXES}")
+    return AxisSet(n_axes)
 
 
 @dataclass(frozen=True)
@@ -107,102 +105,84 @@ class GreedyConfig:
             raise InvalidConfigurationError("eps_target must be in (0, 1)")
 
 
-def _window(n_axes: int, tx: complex, ty: complex) -> np.ndarray | None:
-    """Set indices of +/-z and the XY phases next to psi and psi + pi, ascending.
+def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int, float, State]:
+    """Best axis for one trial rotation by `step_angle`: (index, error, new state).
 
-    tx and ty share one complex factor k, so with k the larger of the two,
-    atan2(Re(ty k*), Re(tx k*)) is the optimal drive phase psi mod pi.
-    Phase indices lo-1 .. lo+2 bracket psi with one index of slack for
-    rounding. None when psi is not finite (NaN input): the whole-set scan
-    then gives the same answer as it would below WINDOW_MIN_AXES.
+    `state` is (a0, ax, ay, az) of A = U T^dag. The rotation
+    (c, s n), c = cos(t/2), s = sin(t/2), maps it to
+    (c a0 - s n.a, c a + s a0 n + s n x a), whose error is the squared
+    vector part. Only +/-z and the XY phase indices lo-1 .. lo+2 around
+    psi and around psi + pi are scored, in set order (a non-finite state
+    scores only +/-z). A later candidate wins only when its error is
+    lower by more than the TIE_RTOL margin, so ties break to the first
+    axis in set order.
     """
-    x, y = complex(tx), complex(ty)
-    k = (x if abs(x) >= abs(y) else y).conjugate()
-    psi = math.atan2((y * k).real, (x * k).real)
-    if not math.isfinite(psi):
-        return None
-    m = n_axes - 2
-    lo = math.floor(psi * m / TWO_PI)
-    hi = math.floor((psi + math.pi) * m / TWO_PI)
-    phases = sorted({j % m for j in (lo - 1, lo, lo + 1, lo + 2, hi - 1, hi, hi + 1, hi + 2)})
-    return np.array([0, 1] + [2 + j for j in phases])
-
-
-def best_axis_step(
-    current: np.ndarray,
-    target: np.ndarray,
-    axes: AxisSet,
-    step_angle: float,
-) -> tuple[int, float]:
-    """Set index and fidelity of the best axis for one trial rotation of `step_angle`.
-
-    Scores hs_fidelity(target, R_a(step_angle) @ current) per axis via
-    the trace expansion Tr(T^dag R U) = Tr(R U T^dag) = cos(t/2) Tr(A) -
-    i sin(t/2) (nx Tr(sx A) + ny Tr(sy A) + nz Tr(sz A)) with
-    A = U T^dag, which is exactly the brute-force product fidelity.
-    Below WINDOW_MIN_AXES every axis is scored; from there on only +/-z
-    and the grid neighbours of the optimal drive phase psi and of
-    psi + pi (at most 10 axes), which always contain the best XY axis.
-    Ties break to the first axis in the set's deterministic order.
-    """
-    a = current @ target.conj().T
-    t0 = a[0, 0] + a[1, 1]
-    tx = a[0, 1] + a[1, 0]
-    ty = 1j * (a[0, 1] - a[1, 0])
-    tz = a[0, 0] - a[1, 1]
+    a0, ax, ay, az = state
     c = math.cos(step_angle / 2.0)
     s = math.sin(step_angle / 2.0)
-    idx = _window(axes.n_axes, tx, ty) if axes.n_axes >= WINDOW_MIN_AXES else None
-    if idx is None:
-        nx, ny, nz = axes.nx, axes.ny, axes.nz
-    else:
-        nx, ny, nz = axes.nx[idx], axes.ny[idx], axes.nz[idx]
-    traces = c * t0 - 1j * s * (nx * tx + ny * ty + nz * tz)
-    fids = np.abs(traces) ** 2 / 4.0
-    i = int(np.argmax(fids))
-    best = float(fids[i])
-    if idx is not None:
-        i = int(idx[i])
-    return i, best
+    m = axes.n_axes - 2
+    psi = math.atan2(ay, ax)
+    candidates = [0, 1]
+    if math.isfinite(psi):
+        lo = math.floor(psi * m / TWO_PI)
+        hi = math.floor((psi + math.pi) * m / TWO_PI)
+        window = (lo - 1, lo, lo + 1, lo + 2, hi - 1, hi, hi + 1, hi + 2)
+        candidates += [2 + j for j in sorted({j % m for j in window})]
+    margin = TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
+    best = None
+    for i in candidates:
+        if i < 2:
+            nx, ny, nz = 0.0, 0.0, 1.0 - 2 * i
+        else:
+            phi = axes.phase(i)
+            nx, ny, nz = math.cos(phi), math.sin(phi), 0.0
+        bx = c * ax + s * (a0 * nx + ny * az - nz * ay)
+        by = c * ay + s * (a0 * ny + nz * ax - nx * az)
+        bz = c * az + s * (a0 * nz + nx * ay - ny * ax)
+        error = bx * bx + by * by + bz * bz
+        if best is None or error < best[1] - margin:
+            b0 = c * a0 - s * (nx * ax + ny * ay + nz * az)
+            best = (i, error, (b0, bx, by, bz))
+    return best
 
 
 def greedy_compile(
-    target: np.ndarray,
+    target,
     axes: AxisSet,
     config: GreedyConfig,
 ) -> tuple[ir.CompiledGate, ir.CompileReport]:
-    """Compile `target` into allowed-axis rotations to error <= eps_target.
+    """Compile the 2x2 unitary `target` into allowed-axis rotations to error <= eps_target.
 
-    Accepted steps strictly increase fidelity, so the loop terminates on
+    Accepted steps strictly lower the error, so the loop terminates on
     the error test on the common path; MAX_ITERS and the damping floor
-    are safety nets. The finishing passes (merge, absorb, merge) are
-    exact, and the final gate is re-verified against the target.
+    are safety nets, and a non-finite target stops at the damping floor.
+    The finishing passes (merge, absorb, merge) are exact, and the final
+    gate is re-verified against the target.
     """
     t_start = time.perf_counter()
-    u = IDENTITY
+    state = quaternion(target.conj().T)
+    error = state[1] ** 2 + state[2] ** 2 + state[3] ** 2
     steps: list[ir.PulseStep] = []
     iterations = 0
     damped = 0
-    fid = hs_fidelity(target, u)
-    while 1.0 - fid > config.eps_target:
+    while not error <= config.eps_target:
         if iterations >= MAX_ITERS:
-            raise MaxItersError(f"no convergence within {MAX_ITERS} iterations", steps, fid)
-        angle = residual_angle(fid)
-        i, best = best_axis_step(u, target, axes, angle)
-        while best <= fid:
+            raise MaxItersError(f"no convergence within {MAX_ITERS} iterations", steps, error)
+        angle = 2.0 * math.atan2(math.sqrt(error), abs(state[0]))
+        i, best, new_state = best_axis_step(state, axes, angle)
+        while not best < error:
             angle *= DAMPING_FACTOR
             damped += 1
-            if angle < MIN_ANGLE:
+            if not angle >= MIN_ANGLE:
                 raise NoProgressError(
-                    "damping floor reached with no improving axis", steps, fid
+                    "damping floor reached with no improving axis", steps, error
                 )
-            i, best = best_axis_step(u, target, axes, angle)
+            i, best, new_state = best_axis_step(state, axes, angle)
         if i < 2:  # the +z or -z line: a free virtual-Z shift
             steps.append(ir.VirtualZ((1 - 2 * i) * angle))
         else:
             steps.append(ir.XYPulse(axes.phase(i), angle))
-        u = rotation_unitary((axes.nx[i], axes.ny[i], axes.nz[i]), angle) @ u
-        fid = best
+        state, error = new_state, best
         iterations += 1
 
     pulses, frame_phase = ir.absorb_virtual_z(ir.merge_adjacent(steps))
@@ -213,6 +193,6 @@ def greedy_compile(
         raise CompileError(
             f"post-pass error {gate.epsilon} exceeds target {config.eps_target}",
             steps,
-            fid,
+            error,
         )
     return gate, report

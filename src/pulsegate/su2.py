@@ -1,9 +1,9 @@
 """2x2 unitary arithmetic.
 
-Axis-angle rotations, Hilbert-Schmidt fidelity, residual rotation angles
-and the ZXZ Euler decomposition. Everything here is a pure function on
-2x2 complex numpy arrays; global phase is never physically meaningful
-and fidelity is blind to it.
+Axis-angle rotations, Hilbert-Schmidt fidelity, the real quaternion of
+a unitary and the ZXZ Euler decomposition. Everything here is a pure
+function on 2x2 complex numpy arrays; global phase is never physically
+meaningful and fidelity is blind to it.
 
 Convention fixed once for the whole package:
 
@@ -103,15 +103,18 @@ def hs_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return abs(np.vdot(u, v)) ** 2 / 4.0
 
 
-def residual_angle(f: float) -> float:
-    """Coaxial rotation angle in [0, pi] that closes a fidelity gap.
+def quaternion(u) -> tuple[float, float, float, float]:
+    """(a0, ax, ay, az) with u = e^{ig} (a0 I - i (ax X + ay Y + az Z)).
 
-    Inverse of F = cos^2(dtheta/2): dtheta = 2*arccos(sqrt(F)).
+    The four complex coefficients share the phase e^{ig}; it is read off
+    the largest of them and removed, so all four come out real. q and -q
+    describe the same gate, and either may be returned.
     """
-    if f < -1e-9 or f > 1.0 + 1e-9:
-        raise ValueError(f"fidelity {f!r} outside [0, 1] beyond roundoff tolerance")
-    f = min(max(f, 0.0), 1.0)
-    return 2.0 * math.acos(math.sqrt(f))
+    u00, u01, u10, u11 = complex(u[0][0]), complex(u[0][1]), complex(u[1][0]), complex(u[1][1])
+    w = ((u00 + u11) / 2, 1j * (u01 + u10) / 2, (u10 - u01) / 2, 1j * (u00 - u11) / 2)
+    big = max(w, key=abs)
+    k = big.conjugate() / abs(big) if big else 1.0
+    return tuple((x * k).real for x in w)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pulsegate import cli, hs_fidelity, sequence_unitary
 from pulsegate.cli import NAMED_GATES, build_parser, canonical_json, main
+from pulsegate.greedy import MAX_AXES
 from pulsegate.ir import VirtualZ, XYPulse
 from pulsegate.su2 import rx
 
@@ -271,6 +272,26 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err == "error: --angle requires --axis\n"
 
+    def test_huge_axis_count_compiles(self):
+        code, out, err = _outcome(["compile", "--gate", "H", "--axes", "99999999999"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["n_axes"] == 99999999999
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--gate", "H", "--axes", str(10**400)],
+            ["compile", "--gate", "H", "--axes", str(MAX_AXES + 1)],
+            ["bench", "--axes-list", str(10**400), "--eps-decades", "1:1"],
+            ["bench", "--axes-list", f"6,{MAX_AXES + 1}", "--eps-decades", "1:1"],
+        ],
+        ids=["compile-googol-cubed", "compile-max-plus-one", "bench-googol-cubed", "bench-max-plus-one"],
+    )
+    def test_axis_count_above_max_is_usage_error(self, argv):
+        code, out, err = _outcome(argv)
+        assert code == 2 and out == ""
+        assert err == f"error: n_axes must be <= {MAX_AXES}\n"
+
     def test_too_few_axes_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--gate", "H", "--axes", "3")
         assert code == 2 and "n_axes" in err
@@ -387,14 +408,32 @@ _TARGETS = {
     "--axis": _unit_axis,
     "--matrix": _matrix,
 }
+# axis counts far beyond any compile budget: valid, at the bound, past it, and past any float
+HUGE_COUNTS = ("99999999999", str(MAX_AXES), str(MAX_AXES + 1), str(10**400))
 _OPTIONS = {
     "--angle": _number,
-    "--axes": st.one_of(st.integers(4, 64), st.integers(-2, 64)).map(str) | st.sampled_from(["x", "1.5", ""]),
+    "--axes": st.one_of(st.integers(4, 64), st.integers(-2, 64)).map(str)
+    | st.sampled_from(["x", "1.5", "", *HUGE_COUNTS]),
     "--epsilon": st.one_of(
         st.floats(1e-8, 0.5).map(repr),
         st.sampled_from(["nan", "inf", "abc", "0", "-1", "1", "1e-8"]),
     ),
     "--format": st.sampled_from(["json", "json", "text", "xml"]),
+}
+
+
+_BENCH_OPTIONS = {
+    # one or two counts; each sweep cell is 128 compiles, so valid counts stay small
+    "--axes-list": st.lists(
+        st.one_of(
+            st.integers(4, 40).map(str),
+            st.sampled_from(HUGE_COUNTS[:2]),
+            st.sampled_from(["3", "-6", "x", "", "1e3", *HUGE_COUNTS[2:]]),
+        ),
+        min_size=1,
+        max_size=2,
+    ).map(",".join),
+    "--eps-decades": st.sampled_from(["1:1", "1:2", "2:3", "3:3"]) | st.sampled_from(["2:1", "0:1", "1", "a:b", "1:2:3", "", "1:400"]),
 }
 
 
@@ -408,7 +447,7 @@ def _nonfinite_target(flags: dict) -> bool:
 
 
 class TestCliProperty:
-    """Every argv ends in exit 0, 1 or 2 with at most one `error:` line (bench and -h left out)."""
+    """Every argv ends in exit 0, 1 or 2 with at most one `error:` line (-h left out)."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -425,6 +464,12 @@ class TestCliProperty:
         (root / "matrix.json").write_text("[[0,1],[1,0]]")
         (root / "nan-matrix.json").write_text("[[NaN,0],[0,1]]")
         return {p.name: str(p) for p in root.iterdir()} | {"absent.json": str(root / "absent.json")}
+
+    @pytest.fixture(scope="class")
+    def out_paths(self, tmp_path_factory):
+        """`bench --out` targets: a new file, a directory, and a path in a missing directory."""
+        root = tmp_path_factory.mktemp("cli-property-out")
+        return [str(root / "rows.csv"), str(root), str(root / "absent" / "rows.csv")]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -455,6 +500,28 @@ class TestCliProperty:
             argv += [f"{name}={value}"] if draw(st.integers(0, 3)) else [name, value]
         argv += [[], [], [], [], ["--baseline"], ["--baseline"], ["--bogus"]][draw(st.integers(0, 6))]
 
+        code, out, err = self.check(argv)
+        if code == 0:
+            nan_file = flags.get("--matrix-file") == files["nan-matrix.json"]
+            assert not (_nonfinite_target(flags) or nan_file), (argv, out)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_bench_argv_exits_0_1_or_2(self, out_paths, data):
+        draw = data.draw
+        flags = {name: draw(option) for name, option in _BENCH_OPTIONS.items()}
+        if draw(st.integers(0, 2)):
+            flags["--out"] = draw(st.sampled_from(out_paths))
+        argv = ["bench"]
+        for name, value in draw(st.permutations(list(flags.items()))):
+            argv += [f"{name}={value}"] if draw(st.integers(0, 3)) else [name, value]
+        if not draw(st.integers(0, 7)):
+            argv.append("--bogus")
+        self.check(argv)
+
+    @staticmethod
+    def check(argv):
+        """Run one argv and assert the exit-status, warning and stderr properties."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # a warning would be more stderr lines
             code, out, err = _outcome(argv)
@@ -466,8 +533,7 @@ class TestCliProperty:
             assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
         if code == 0:
             assert err == "", (argv, err)
-            nan_file = flags.get("--matrix-file") == files["nan-matrix.json"]
-            assert not (_nonfinite_target(flags) or nan_file), (argv, out)
+        return code, out, err
 
 
 class TestVerifyRobustness:

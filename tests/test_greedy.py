@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -13,41 +14,105 @@ from pulsegate import (
     allowed_axes,
     best_axis_step,
     compose,
+    evaluation_dataset,
     greedy_compile,
     hs_fidelity,
-    residual_angle,
     rotation_unitary,
 )
 from pulsegate import greedy
-from pulsegate.greedy import InvalidConfigurationError
-from pulsegate.su2 import rx, rz, xy_rotation
+from pulsegate.greedy import MAX_AXES, InvalidConfigurationError
+from pulsegate.su2 import quaternion, rx, rz, xy_rotation
 
 from conftest import random_unitary
 
 
 def unit_vector(axes, i):
-    """Axis i's unit vector from its definition, not from the set's columns."""
+    """Axis i's unit vector from its definition: +z, -z, then the XY phases."""
     if i < 2:
         return (0.0, 0.0, 1.0 - 2 * i)
     return (math.cos(axes.phase(i)), math.sin(axes.phase(i)), 0.0)
 
 
+def state_of(current, target):
+    """The loop state of a schedule with unitary `current`: the quaternion of U T^dag."""
+    return quaternion(current @ target.conj().T)
+
+
 def brute_force_step(current, target, axes, step_angle):
-    """Independent oracle: explicit product fidelity for every axis."""
+    """Independent oracle: explicit product fidelity for every axis; (index, 1 - F)."""
     best_i, best_fid = None, -1.0
     for i in range(axes.n_axes):
         u = rotation_unitary(unit_vector(axes, i), step_angle) @ current
         f = hs_fidelity(target, u)
         if f > best_fid:
             best_i, best_fid = i, f
-    return best_i, best_fid
+    return best_i, 1.0 - best_fid
+
+
+def product_errors(current, target, axes, step_angle, indices=None, chunk=1 << 16):
+    """Independent oracle: 1 - hs_fidelity(target, R_a @ current) for every axis a.
+
+    The same explicit product as brute_force_step, batched over the axes
+    (or over `indices` only) so that sets of a million axes stay
+    affordable. Unit vectors are built from `phase(i)`.
+    """
+    if indices is None:
+        indices = np.arange(axes.n_axes)
+    c, s = math.cos(step_angle / 2.0), math.sin(step_angle / 2.0)
+    out = []
+    for lo in range(0, len(indices), chunk):
+        i = np.asarray(indices[lo:lo + chunk])
+        phi = axes.phase(np.maximum(i, 2))
+        xy = i >= 2
+        nx = np.where(xy, np.cos(phi), 0.0)
+        ny = np.where(xy, np.sin(phi), 0.0)
+        nz = np.where(xy, 0.0, 1.0 - 2.0 * i)
+        r = np.empty((len(i), 2, 2), dtype=complex)
+        r[:, 0, 0] = c - 1j * s * nz
+        r[:, 0, 1] = -1j * s * (nx - 1j * ny)
+        r[:, 1, 0] = -1j * s * (nx + 1j * ny)
+        r[:, 1, 1] = c + 1j * s * nz
+        overlap = np.einsum("ij,kij->k", target.conj(), r @ current)
+        out.append(1.0 - np.abs(overlap) ** 2 / 4.0)
+    return np.concatenate(out)
+
+
+def assert_same_state(p, q, tol=1e-12):
+    """Equal quaternions up to the overall sign, which is a global phase."""
+    sign = 1.0 if sum(x * y for x, y in zip(p, q)) >= 0 else -1.0
+    assert max(abs(x - sign * y) for x, y in zip(p, q)) <= tol, (p, q)
+
+
+def vector_part_error(target, gate):
+    """|a|^2 of T^dag U for the gate's schedule, from plain complex arithmetic.
+
+    With T^dag U = e^{ig} (a0 I - i a.sigma), the entries give
+    |a|^2 = (|m00 - m11|^2 + |m01 + m10|^2 + |m01 - m10|^2) / 4 without
+    subtracting a fidelity from 1.
+    """
+
+    def mul(a, b):
+        return (
+            (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+        )
+
+    u = ((1 + 0j, 0j), (0j, 1 + 0j))
+    for p in gate.pulses:
+        c, s, e = math.cos(p.angle / 2), math.sin(p.angle / 2), cmath.exp(1j * p.phase)
+        u = mul(((c, -1j * s * e.conjugate()), (-1j * s * e, c)), u)
+    z = cmath.exp(-0.5j * gate.frame_phase)
+    u = ((z * u[0][0], z * u[0][1]), (z.conjugate() * u[1][0], z.conjugate() * u[1][1]))
+    t = [[complex(x) for x in row] for row in target]
+    m = mul(((t[0][0].conjugate(), t[1][0].conjugate()), (t[0][1].conjugate(), t[1][1].conjugate())), u)
+    return (abs(m[0][0] - m[1][1]) ** 2 + abs(m[0][1] + m[1][0]) ** 2 + abs(m[0][1] - m[1][0]) ** 2) / 4
 
 
 class TestAllowedAxes:
     def test_six_axes(self):
         axes = allowed_axes(6)
         assert axes.n_axes == 6
-        assert axes.nz[:2].tolist() == [1, -1]
+        assert [unit_vector(axes, i)[2] for i in range(2)] == [1, -1]
         phases = [axes.phase(i) for i in range(2, 6)]
         assert phases == pytest.approx([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 
@@ -65,29 +130,37 @@ class TestAllowedAxes:
         sets = {}
         for n in (6, 10, 18, 34):
             axes = allowed_axes(n)
-            sets[n] = set(zip(axes.nx.tolist(), axes.ny.tolist(), axes.nz.tolist()))
+            sets[n] = {unit_vector(axes, i) for i in range(n)}
             assert len(sets[n]) == n
         assert sets[6] < sets[10] < sets[18] < sets[34]
 
-    @pytest.mark.parametrize("n_axes", [6, 18, 34, 16386, 2**20 + 2])
-    def test_columns_are_libm_cos_sin_of_the_phases(self, n_axes):
-        axes = allowed_axes(n_axes)
-        xy = range(2, n_axes)
-        nx = np.array([0.0, 0.0] + [math.cos(axes.phase(i)) for i in xy])
-        ny = np.array([0.0, 0.0] + [math.sin(axes.phase(i)) for i in xy])
-        nz = np.array([1.0, -1.0] + [0.0] * (n_axes - 2))
-        for column, expected in ((axes.nx, nx), (axes.ny, ny), (axes.nz, nz)):
-            assert column.dtype == np.float64 and column.tobytes() == expected.tobytes()
-
     def test_million_axes_memory_bound(self):
-        # the three columns are 24 MiB; the rest of the bound is room for temporaries
         tracemalloc.start()
         try:
             allowed_axes(2**20 + 2)
+            allowed_axes(10**12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 2**20
+
+    def test_max_axes_bound(self):
+        axes = allowed_axes(MAX_AXES)
+        i, error, _ = best_axis_step(state_of(np.eye(2), xy_rotation(1.0, 0.5)), axes, 0.5)
+        assert i >= 2 and error < 1e-24
+        with pytest.raises(InvalidConfigurationError):
+            allowed_axes(MAX_AXES + 1)
+        with pytest.raises(InvalidConfigurationError):
+            allowed_axes(10**400)
+
+    def test_adjacent_phases_distinct_at_max_axes(self):
+        axes = allowed_axes(MAX_AXES)
+        m = MAX_AXES - 2
+        rng = np.random.default_rng(5)
+        starts = [0, 1, m // 4, m // 2 - 1, m // 2, m - 3, m - 2]
+        starts += [int(j) for j in rng.integers(0, m - 1, 2000)]
+        for j in starts:
+            assert axes.phase(2 + j) < axes.phase(3 + j), j
 
 
 class TestConfig:
@@ -99,24 +172,25 @@ class TestConfig:
 class TestBestAxisStep:
     def test_exact_target_on_xy_axis(self):
         axes = allowed_axes(6)
-        i, fid = best_axis_step(np.eye(2), rx(math.pi / 2), axes, math.pi / 2)
+        i, error, _ = best_axis_step(state_of(np.eye(2), rx(math.pi / 2)), axes, math.pi / 2)
         assert i == 2 and axes.phase(i) == 0.0
-        assert fid == pytest.approx(1.0, abs=1e-14)
+        assert error == pytest.approx(0.0, abs=1e-28)
 
     def test_exact_target_on_z_axis(self):
         axes = allowed_axes(6)
-        i, fid = best_axis_step(np.eye(2), rz(0.7), axes, 0.7)
+        i, error, _ = best_axis_step(state_of(np.eye(2), rz(0.7)), axes, 0.7)
         assert i == 0
-        assert fid == pytest.approx(1.0, abs=1e-14)
+        assert error == pytest.approx(0.0, abs=1e-28)
 
-    def test_matches_brute_force(self, rng):
+    def test_matches_brute_force(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         axes = allowed_axes(18)
-        angle = residual_angle(hs_fidelity(h, np.eye(2)))
-        i, fid = best_axis_step(np.eye(2), h, axes, angle)
-        oracle_i, oracle_fid = brute_force_step(np.eye(2), h, axes, angle)
+        a0, *a = state_of(np.eye(2), h)
+        angle = 2.0 * math.atan2(math.sqrt(sum(x * x for x in a)), abs(a0))
+        i, error, _ = best_axis_step((a0, *a), axes, angle)
+        oracle_i, oracle_error = brute_force_step(np.eye(2), h, axes, angle)
         assert i == oracle_i
-        assert fid == pytest.approx(oracle_fid, abs=1e-13)
+        assert error == pytest.approx(oracle_error, abs=1e-13)
 
     def test_matches_brute_force_random(self, rng):
         axes = allowed_axes(18)
@@ -124,45 +198,21 @@ class TestBestAxisStep:
             current = random_unitary(rng)
             target = random_unitary(rng)
             angle = rng.uniform(1e-3, math.pi)
-            i, fid = best_axis_step(current, target, axes, angle)
-            oracle_i, oracle_fid = brute_force_step(current, target, axes, angle)
-            assert fid == pytest.approx(oracle_fid, abs=1e-12)
+            i, error, _ = best_axis_step(state_of(current, target), axes, angle)
+            oracle_i, oracle_error = brute_force_step(current, target, axes, angle)
+            assert error == pytest.approx(oracle_error, abs=1e-12)
             assert i == oracle_i
 
-
-def scan_step(current, target, axes, step_angle):
-    """Reference: the whole-set scan, scoring every axis with best_axis_step's expression."""
-    a = current @ target.conj().T
-    t0 = a[0, 0] + a[1, 1]
-    tx = a[0, 1] + a[1, 0]
-    ty = 1j * (a[0, 1] - a[1, 0])
-    tz = a[0, 0] - a[1, 1]
-    c = math.cos(step_angle / 2.0)
-    s = math.sin(step_angle / 2.0)
-    traces = c * t0 - 1j * s * (axes.nx * tx + axes.ny * ty + axes.nz * tz)
-    fids = np.abs(traces) ** 2 / 4.0
-    i = int(np.argmax(fids))
-    return i, float(fids[i])
-
-
-def product_fidelities(current, target, axes, step_angle, chunk=1 << 16):
-    """Independent oracle: hs_fidelity(target, R_a @ current) for every axis.
-
-    The same explicit product as brute_force_step, batched over the axes
-    so that sets of a million axes stay affordable.
-    """
-    c, s = math.cos(step_angle / 2.0), math.sin(step_angle / 2.0)
-    out = []
-    for lo in range(0, axes.n_axes, chunk):
-        nx, ny, nz = (v[lo:lo + chunk] for v in (axes.nx, axes.ny, axes.nz))
-        r = np.empty((len(nx), 2, 2), dtype=complex)
-        r[:, 0, 0] = c - 1j * s * nz
-        r[:, 0, 1] = -1j * s * (nx - 1j * ny)
-        r[:, 1, 0] = -1j * s * (nx + 1j * ny)
-        r[:, 1, 1] = c + 1j * s * nz
-        overlap = np.einsum("ij,kij->k", target.conj(), r @ current)
-        out.append(np.abs(overlap) ** 2 / 4.0)
-    return np.concatenate(out)
+    def test_new_state_is_the_rotated_state(self, rng):
+        for n_axes in (6, 18, 16386):
+            axes = allowed_axes(n_axes)
+            for _ in range(50):
+                current, target = random_unitary(rng), random_unitary(rng)
+                angle = rng.uniform(1e-3, math.pi)
+                i, error, new = best_axis_step(state_of(current, target), axes, angle)
+                rotated = rotation_unitary(unit_vector(axes, i), angle) @ current
+                assert_same_state(new, state_of(rotated, target))
+                assert error == new[1] ** 2 + new[2] ** 2 + new[3] ** 2
 
 
 def su2_of(q, phase):
@@ -179,10 +229,33 @@ draws = st.tuples(
 )
 
 
+def tie_margin(state, step_angle):
+    """How much lower a later axis's error must be to replace an earlier one."""
+    return greedy.TIE_RTOL * (state[1] ** 2 + state[2] ** 2 + state[3] ** 2 + math.sin(step_angle / 2) ** 2)
+
+
+def check_choice(i, error, errors, margin):
+    """The chosen axis's error is its oracle error, within the tie margin of the best.
+
+    When one axis beats all others by more than twice the margin (plus
+    1 - F rounding), it must be the one chosen.
+    """
+    top = int(np.argmin(errors))
+    assert error == pytest.approx(errors[i], abs=1e-14)
+    assert error <= errors[top] + margin + 1e-14
+    if np.min(np.delete(errors, top)) - errors[top] > 1e-15 + 2 * margin:
+        assert i == top
+
+
+@pytest.fixture(scope="module", params=[6, 10, 18, 34])
+def small_axes(request):
+    return allowed_axes(request.param)
+
+
 @pytest.fixture(scope="module", params=[-1, 0, 1])
 def crossover_axes(request):
-    """Sets just below, at and just above the size where the window takes over."""
-    return allowed_axes(greedy.WINDOW_MIN_AXES + request.param)
+    """999, 1000 and 1001 axes: odd and even phase counts between the paper's sets and a fine grid."""
+    return allowed_axes(1000 + request.param)
 
 
 @pytest.fixture(scope="module")
@@ -196,19 +269,21 @@ def huge_axes():
 
 
 class TestWindow:
-    """Above WINDOW_MIN_AXES only +/-z and the neighbours of psi and psi + pi are scored."""
+    """Only +/-z and the neighbours of psi and psi + pi are scored, at every set size."""
 
     def check_against_oracle(self, axes, draw):
         qu, qt, phase, angle = draw
         current, target = su2_of(qu, 0.0), su2_of(qt, phase)
-        i, fid = best_axis_step(current, target, axes, angle)
-        fids = product_fidelities(current, target, axes, angle)
-        top = int(np.argmax(fids))
-        second = np.max(np.delete(fids, top))
-        assert fid == pytest.approx(fids[top], abs=1e-14)
-        if fids[top] - second > 1e-15:
-            assert i == top
-            assert (i, fid) == scan_step(current, target, axes, angle)
+        state = state_of(current, target)
+        i, error, new = best_axis_step(state, axes, angle)
+        check_choice(i, error, product_errors(current, target, axes, angle), tie_margin(state, angle))
+        rotated = rotation_unitary(unit_vector(axes, i), angle) @ current
+        assert_same_state(new, state_of(rotated, target))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(draw=draws)
+    def test_matches_oracle_on_small_sets(self, small_axes, draw):
+        self.check_against_oracle(small_axes, draw)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(draw=draws)
@@ -225,50 +300,70 @@ class TestWindow:
     def test_matches_oracle_on_million_axes(self, huge_axes, draw):
         self.check_against_oracle(huge_axes, draw)
 
+    @pytest.mark.parametrize("n_axes", [10**12, MAX_AXES])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(draw=draws)
+    def test_no_better_axis_near_psi_on_huge_sets(self, n_axes, draw):
+        # too many axes to scan: the 256 phases around psi and around
+        # psi + pi, and the z lines, must not beat the chosen axis
+        axes = allowed_axes(n_axes)
+        qu, qt, phase, angle = draw
+        current, target = su2_of(qu, 0.0), su2_of(qt, phase)
+        state = state_of(current, target)
+        i, error, _ = best_axis_step(state, axes, angle)
+        m = n_axes - 2
+        psi = math.atan2(state[2], state[1])
+        near = [0, 1]
+        for centre in (psi, psi + math.pi):
+            j = round(centre * m / (2 * math.pi))
+            near += [2 + (j + k) % m for k in range(-128, 128)]
+        errors = product_errors(current, target, axes, angle, indices=near)
+        assert i in near
+        check_choice(near.index(i), error, errors, tie_margin(state, angle))
+
     def test_matches_scan_on_random_draws(self, rng, fine_axes):
+        # the scan is the oracle over the whole set
         for _ in range(300):
             current, target = random_unitary(rng), random_unitary(rng)
             angle = rng.uniform(1e-6, math.pi)
-            assert best_axis_step(current, target, fine_axes, angle) == scan_step(
-                current, target, fine_axes, angle
-            )
+            state = state_of(current, target)
+            i, error, _ = best_axis_step(state, fine_axes, angle)
+            check_choice(i, error, product_errors(current, target, fine_axes, angle), tie_margin(state, angle))
 
     def test_pure_z_residual(self, fine_axes):
-        # tx = ty = 0 exactly: psi is atan2(0, 0), and a z line wins
+        # ax = ay = 0 exactly: psi is atan2(0, 0), and a z line wins
         current, target = rz(0.3), rz(1.0)
         for angle in (0.7, 2.0, math.pi):
-            i, fid = best_axis_step(current, target, fine_axes, angle)
+            i, error, _ = best_axis_step(state_of(current, target), fine_axes, angle)
             assert i < 2
-            assert (i, fid) == scan_step(current, target, fine_axes, angle)
+            assert error == pytest.approx(np.min(product_errors(current, target, fine_axes, angle)), abs=1e-14)
 
     def test_no_residual_is_a_full_tie(self, fine_axes):
-        # every axis scores cos^2(t/2): the first axis in set order wins
+        # every axis scores sin^2(t/2): the first axis in set order wins
         target = random_unitary(np.random.default_rng(3))
-        i, fid = best_axis_step(target, target, fine_axes, 0.4)
+        i, error, _ = best_axis_step(state_of(target, target), fine_axes, 0.4)
         assert i == 0
-        assert fid == scan_step(target, target, fine_axes, 0.4)[1]
+        assert error == pytest.approx(math.sin(0.2) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("k", [0, 1, 4096, 5000, 12288, 16383])
     def test_psi_on_a_grid_phase(self, fine_axes, k):
         phase = fine_axes.phase(2 + k)
-        i, fid = best_axis_step(np.eye(2), xy_rotation(phase, 0.9), fine_axes, 0.9)
+        i, error, _ = best_axis_step(state_of(np.eye(2), xy_rotation(phase, 0.9)), fine_axes, 0.9)
         assert i == 2 + k
-        assert fid == pytest.approx(1.0, abs=1e-14)
-        assert (i, fid) == scan_step(np.eye(2), xy_rotation(phase, 0.9), fine_axes, 0.9)
+        assert error == pytest.approx(0.0, abs=1e-28)
 
     def test_psi_midway_first_in_set_order_wins(self):
         # with m = 16386 phases, psi = pi/2 lies midway between phases 4096
-        # and 4097; a real y rotation makes tx exactly 0, so the two score
-        # the same bits and the first one in set order must win
+        # and 4097; a real y rotation makes ax exactly 0, so the two tie and
+        # the first one in set order must win
         axes = allowed_axes(16388)
         first, second = 2 + 4096, 2 + 4097
         assert (axes.phase(first) + axes.phase(second)) / 2 == pytest.approx(math.pi / 2, abs=1e-15)
+        assert math.sin(axes.phase(first)) == math.sin(axes.phase(second))
         c, s = math.cos(0.45), math.sin(0.45)
         target = np.array([[c, -s], [s, c]], dtype=complex)
-        i, fid = best_axis_step(np.eye(2), target, axes, 0.9)
-        assert axes.ny[first] == axes.ny[second]
+        i, _, _ = best_axis_step(state_of(np.eye(2), target), axes, 0.9)
         assert i == first
-        assert (i, fid) == scan_step(np.eye(2), target, axes, 0.9)
 
     @pytest.mark.parametrize("shift", [-0.3, -0.7, 0.3])
     def test_window_wraps_across_phase_zero(self, fine_axes, shift):
@@ -276,28 +371,64 @@ class TestWindow:
         step = 2.0 * math.pi / 16384
         for psi in (shift * step, math.pi + shift * step):
             target = xy_rotation(psi, 1.1)
-            i, fid = best_axis_step(np.eye(2), target, fine_axes, 1.1)
+            i, error, _ = best_axis_step(state_of(np.eye(2), target), fine_axes, 1.1)
             assert i >= 2
             assert abs(math.remainder(fine_axes.phase(i) - psi, 2.0 * math.pi)) <= step / 2
-            assert (i, fid) == scan_step(np.eye(2), target, fine_axes, 1.1)
+            assert error == pytest.approx(np.min(product_errors(np.eye(2), target, fine_axes, 1.1)), abs=1e-14)
 
     @pytest.mark.parametrize("phase", [2.5, -2.0, 4.0])
     def test_best_axis_on_the_psi_plus_pi_side(self, fine_axes, phase):
-        # psi is read mod pi: in (-pi/2, pi/2] when |tx| >= |ty|, else in
-        # (0, pi), so each of these residual axes lies at psi + pi
+        # the state's sign is a free choice, so the residual axis may lie at
+        # psi or at psi + pi; either way the nearest grid phase must win
         target = xy_rotation(phase, 0.8)
-        i, fid = best_axis_step(np.eye(2), target, fine_axes, 0.8)
+        i, _, _ = best_axis_step(state_of(np.eye(2), target), fine_axes, 0.8)
         assert i >= 2
         assert abs(math.remainder(fine_axes.phase(i) - phase, 2.0 * math.pi)) <= math.pi / 16384
-        assert (i, fid) == scan_step(np.eye(2), target, fine_axes, 0.8)
 
     @pytest.mark.parametrize("which", ["current", "target"])
     def test_non_finite_input_matches_scan(self, fine_axes, which):
+        # a whole-set scan of NaN errors keeps its first axis; so does the window
         nan = np.full((2, 2), math.nan, dtype=complex)
         current, target = (nan, np.eye(2)) if which == "current" else (np.eye(2), nan)
-        i, fid = best_axis_step(current, target, fine_axes, 0.5)
-        assert i == 0 == scan_step(current, target, fine_axes, 0.5)[0]
-        assert math.isnan(fid)
+        i, error, _ = best_axis_step(state_of(current, target), fine_axes, 0.5)
+        assert i == 0
+        assert math.isnan(error)
+
+
+def replay(target, axes, eps):
+    """The greedy loop's steps as (state, angle, chosen index), from best_axis_step alone."""
+    state = state_of(np.eye(2), target)
+    error = state[1] ** 2 + state[2] ** 2 + state[3] ** 2
+    out = []
+    while error > eps:
+        angle = 2.0 * math.atan2(math.sqrt(error), abs(state[0]))
+        i, best, new = best_axis_step(state, axes, angle)
+        while not best < error:
+            angle *= greedy.DAMPING_FACTOR
+            assert angle >= greedy.MIN_ANGLE
+            i, best, new = best_axis_step(state, axes, angle)
+        out.append((state, angle, i, error, best))
+        state, error = new, best
+    return out
+
+
+class TestTieRule:
+    """Exactly tied axes go to the first one in set order, whatever the rounding."""
+
+    @pytest.mark.parametrize("n_axes", [10, 18])
+    def test_grid_ties_go_to_the_first_axis(self, n_axes):
+        # +/-x and +/-y are in these sets, and the grid targets meet exact ties
+        axes = allowed_axes(n_axes)
+        ties = 0
+        for k, t in enumerate(evaluation_dataset()):
+            u = np.eye(2, dtype=complex)
+            for state, angle, i, _, _ in replay(t.unitary, axes, 1e-4):
+                errors = product_errors(u, t.unitary, axes, angle)
+                tied = np.flatnonzero(errors <= errors.min() + tie_margin(state, angle) + 1e-15)
+                ties += len(tied) > 1
+                assert i == tied[0], (k, i, tied)
+                u = rotation_unitary(unit_vector(axes, i), angle) @ u
+        assert ties >= 10
 
 
 class TestGreedyCompile:
@@ -359,27 +490,17 @@ class TestGreedyCompile:
         assert r1.iterations == r2.iterations
 
     def test_fidelity_monotone(self, rng):
-        # replay the loop with best_axis_step: accepted fidelities must
-        # strictly increase until the threshold is crossed
+        # replay the loop with best_axis_step: the error |a|^2 (1 - F) must
+        # strictly decrease at every accepted step until the threshold
         target = random_unitary(rng)
         axes = allowed_axes(6)
         config = GreedyConfig(1e-6)
         _, report = greedy_compile(target, axes, config)
-        u = np.eye(2, dtype=complex)
-        fid = hs_fidelity(target, u)
-        fids = [fid]
-        while 1.0 - fid > config.eps_target:
-            angle = residual_angle(fid)
-            i, best = best_axis_step(u, target, axes, angle)
-            while best <= fid:
-                angle *= greedy.DAMPING_FACTOR
-                assert angle >= greedy.MIN_ANGLE
-                i, best = best_axis_step(u, target, axes, angle)
-            u = rotation_unitary(unit_vector(axes, i), angle) @ u
-            fid = best
-            fids.append(fid)
-        assert all(b > a for a, b in zip(fids, fids[1:]))
-        assert len(fids) - 1 == report.iterations
+        steps = replay(target, axes, config.eps_target)
+        errors = [steps[0][3]] + [best for *_, best in steps]
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[-1] <= config.eps_target < errors[-2]
+        assert len(steps) == report.iterations
 
     def test_report_pre_pass_metrics(self, rng):
         target = random_unitary(rng)
@@ -390,5 +511,23 @@ class TestGreedyCompile:
 
     def test_nan_target_fails_loudly(self):
         target = np.full((2, 2), math.nan, dtype=complex)
-        with pytest.raises(CompileError):
+        with pytest.raises(CompileError) as info:
             greedy_compile(target, allowed_axes(6), GreedyConfig(1e-4))
+        assert math.isnan(info.value.error)
+
+    def test_huge_axis_count_compiles(self):
+        gate, _ = greedy_compile(rx(1.0), allowed_axes(99_999_999_999), GreedyConfig(1e-10))
+        assert gate.pulse_count == 1 and gate.epsilon <= 1e-10
+
+
+class TestDeepEps:
+    """Errors far below 1 - F's rounding: every grid target meets eps by the vector part."""
+
+    @pytest.mark.parametrize("eps", [1e-16, 1e-20])
+    @pytest.mark.parametrize("n_axes", [6, 18, 16386])
+    def test_grid_targets_meet_deep_eps(self, n_axes, eps):
+        axes = allowed_axes(n_axes)
+        config = GreedyConfig(eps)
+        for k, t in enumerate(evaluation_dataset()):
+            gate, _ = greedy_compile(t.unitary, axes, config)
+            assert vector_part_error(t.unitary, gate) <= eps, k

@@ -11,10 +11,9 @@ from pulsegate import (
     euler_matrix,
     euler_zxz,
     hs_fidelity,
-    residual_angle,
     rotation_unitary,
 )
-from pulsegate.su2 import rx, rz, xy_rotation
+from pulsegate.su2 import quaternion, rx, rz, xy_rotation
 
 from conftest import random_axis, random_unitary
 
@@ -107,30 +106,51 @@ class TestHsFidelity:
             assert abs(hs_fidelity(w @ u, w @ v) - f) < 1e-12
 
 
-class TestResidualAngle:
-    def test_endpoints(self):
-        assert residual_angle(1.0) == 0.0
-        assert residual_angle(0.0) == pytest.approx(math.pi)
-        assert residual_angle(0.5) == pytest.approx(math.pi / 2)
+def from_quaternion(q):
+    """a0 I - i (ax X + ay Y + az Z), built from the Pauli matrices."""
+    a0, ax, ay, az = q
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
+    return a0 * np.eye(2) - 1j * sum(a * p for a, p in zip((ax, ay, az), paulis))
 
-    def test_clamps_roundoff(self):
-        assert residual_angle(1.0 + 5e-10) == 0.0
-        assert residual_angle(-5e-10) == pytest.approx(math.pi)
 
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            residual_angle(1.1)
-        with pytest.raises(ValueError):
-            residual_angle(-0.1)
-
-    def test_inverts_coaxial_fidelity(self, rng):
+class TestQuaternion:
+    def test_round_trip(self, rng):
         for _ in range(500):
-            n = random_axis(rng)
-            t_target, t_current = rng.uniform(0, 2 * math.pi, 2)
-            f = hs_fidelity(rotation_unitary(n, t_target), rotation_unitary(n, t_current))
-            delta = abs(t_target - t_current) % (2 * math.pi)
-            folded = min(delta, 2 * math.pi - delta)
-            assert abs(residual_angle(f) - folded) < 1e-9
+            u = random_unitary(rng)
+            q = quaternion(u)
+            assert sum(x * x for x in q) == pytest.approx(1.0, abs=1e-14)
+            assert abs(hs_fidelity(u, from_quaternion(q)) - 1.0) < 1e-14
+
+    def test_global_phase_removed(self, rng):
+        for _ in range(200):
+            v = rotation_unitary(random_axis(rng), rng.uniform(0, 2 * math.pi))
+            q = quaternion(v)
+            for g in rng.uniform(0, 2 * math.pi, 4):
+                p = quaternion(np.exp(1j * g) * v)
+                sign = 1.0 if np.dot(p, q) >= 0 else -1.0
+                assert np.allclose(p, sign * np.asarray(q), atol=1e-15)
+
+    def test_axis_angle(self, rng):
+        # R_n(t) = cos(t/2) I - i sin(t/2) n.sigma
+        for _ in range(200):
+            n, t = random_axis(rng), rng.uniform(0, 2 * math.pi)
+            p = quaternion(rotation_unitary(n, t))
+            q = (math.cos(t / 2), *(math.sin(t / 2) * n))
+            sign = 1.0 if np.dot(p, q) >= 0 else -1.0
+            assert np.allclose(p, sign * np.asarray(q), atol=1e-15)
+
+    def test_vector_part_is_the_gate_error(self, rng):
+        # |a|^2 of U T^dag is 1 - F, with no cancellation for a tiny residual
+        target = random_unitary(rng)
+        for theta in (0.3, 1e-3, 1e-9):
+            u = rotation_unitary(random_axis(rng), theta) @ target
+            _, *a = quaternion(u @ target.conj().T)
+            assert sum(x * x for x in a) == pytest.approx(math.sin(theta / 2) ** 2, rel=1e-9)
+            if theta > 1e-6:
+                assert sum(x * x for x in a) == pytest.approx(1.0 - hs_fidelity(target, u), rel=1e-9)
+
+    def test_non_finite_stays_non_finite(self):
+        assert all(math.isnan(x) for x in quaternion(np.full((2, 2), math.nan)))
 
 
 class TestEulerZXZ:
