@@ -18,7 +18,7 @@ import numpy as np
 
 from .greedy import CompileError, GreedyConfig, allowed_axes, greedy_compile
 from .ir import CompiledGate
-from .su2 import compose, rx, rz
+from .su2 import rx, rz
 
 DEFAULT_AXES_LIST = (6, 10, 18, 34)
 DEFAULT_EPS_LIST = tuple(10.0 ** (-k) for k in range(1, 9))
@@ -68,7 +68,7 @@ def evaluation_dataset() -> list[EvalTarget]:
         theta = k * math.pi / 7.0
         for j in range(16):
             varphi = 2.0 * math.pi * j / 16.0
-            targets.append(EvalTarget(theta, varphi, compose(rx(theta), rz(varphi))))
+            targets.append(EvalTarget(theta, varphi, rz(varphi) @ rx(theta)))
     return targets
 
 

@@ -226,14 +226,12 @@ def _add_gate_spec_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_compile(args) -> int:
     spec = resolve_gate_spec(args)
-    if not 0.0 < args.epsilon < 1.0:
-        raise GateSpecError("--epsilon must be in (0, 1)")
+    config = GreedyConfig(eps_target=args.epsilon)  # validates --epsilon for --baseline too
     if args.baseline:
         gate, _ = u3_compile(spec.unitary)
         n_axes = 0
     else:
         axes = allowed_axes(args.axes)
-        config = GreedyConfig(eps_target=args.epsilon)
         try:
             gate, _ = greedy_compile(spec.unitary, axes, config)
         except CompileError as exc:

@@ -41,7 +41,7 @@ def mod_2pi(angle: float) -> float:
         a += TWO_PI
     if a >= TWO_PI:  # fmod roundoff at the boundary
         a -= TWO_PI
-    return a
+    return a + 0.0  # -0.0 (from fmod of -2 pi) becomes 0.0
 
 
 def mod_pm_pi(angle: float) -> float:
@@ -91,11 +91,6 @@ def rx(theta: float) -> np.ndarray:
 def xy_rotation(phase: float, theta: float) -> np.ndarray:
     """Rotation about the XY-plane axis at angle `phase` from +x."""
     return rotation_unitary((math.cos(phase), math.sin(phase), 0.0), theta)
-
-
-def compose(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Unitary of applying `first` then `second` in time (= second @ first)."""
-    return second @ first
 
 
 def hs_fidelity(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,7 +1,8 @@
-"""The library surface the perfbench harness reads.
+"""The library surface the perfbench harness and the acceptance suite read.
 
-perfbench/ is fixed between benchmark changes, so a simplification of
-the library must keep every name and field it uses; this pins them.
+perfbench/ and tests/test_acceptance.py are fixed between benchmark
+changes, so a simplification of the library must keep every name and
+field they use; this pins them.
 """
 
 import numpy as np
@@ -26,6 +27,34 @@ def test_package_names():
     assert len(pg.evaluation_dataset()) == 128
     assert pg.allowed_axes(6).n_axes == 6
     assert bench.DEFAULT_AXES_LIST and bench.DEFAULT_EPS_LIST
+
+
+ROOT_NAMES = {
+    # perfbench's workloads and program set-up
+    "CompileError",
+    "GreedyConfig",
+    "allowed_axes",
+    "evaluation_dataset",
+    "greedy_compile",
+    # perfbench's hook test checks that the root binding is wrapped
+    "rotation_unitary",
+    # tests/test_acceptance.py
+    "XYPulse",
+    "absorb_virtual_z",
+    "fit_log_model",
+    "hs_fidelity",
+    "merge_adjacent",
+    "pulse_count",
+    "run_sweep",
+    "sequence_unitary",
+    "u3_compile",
+}
+
+
+def test_root_exports_exactly_what_callers_import():
+    assert set(pg.__all__) == ROOT_NAMES and len(pg.__all__) == len(ROOT_NAMES)
+    for name in ROOT_NAMES:
+        assert getattr(pg, name) is not None, name
 
 
 def test_run_sweep_returns_rows():

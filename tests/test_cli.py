@@ -293,10 +293,25 @@ class TestUsageErrors:
         assert err == f"error: n_axes must be <= {MAX_AXES}\n"
 
     def test_too_few_axes_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "compile", "--gate", "H", "--axes", "3")
-        assert code == 2 and "n_axes" in err
-        code, _, err = run_cli(capsys, "bench", "--axes-list", "3", "--eps-decades", "1:1")
-        assert code == 2 and "n_axes" in err
+        for n in ("3", "4"):
+            code, _, err = run_cli(capsys, "compile", "--gate", "H", "--axes", n)
+            assert code == 2 and err == f"error: n_axes must be >= 5, got {n}\n"
+            code, _, err = run_cli(capsys, "bench", "--axes-list", n, "--eps-decades", "1:1")
+            assert code == 2 and err == f"error: n_axes must be >= 5, got {n}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--gate", "H", "--epsilon", "1e-25"],
+            ["compile", "--gate", "H", "--epsilon", "1e-25", "--baseline"],
+            ["bench", "--axes-list", "6", "--eps-decades", "1:25"],
+        ],
+        ids=["compile", "compile-baseline", "bench"],
+    )
+    def test_eps_below_floor_is_usage_error(self, argv):
+        code, out, err = _outcome(argv)
+        assert code == 2 and out == ""
+        assert err == "error: eps_target must be in [1e-24, 1)\n"
 
 
 class TestParserReuse:

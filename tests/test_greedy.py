@@ -12,15 +12,13 @@ from pulsegate import (
     GreedyConfig,
     XYPulse,
     allowed_axes,
-    best_axis_step,
-    compose,
     evaluation_dataset,
     greedy_compile,
     hs_fidelity,
     rotation_unitary,
 )
 from pulsegate import greedy
-from pulsegate.greedy import MAX_AXES, InvalidConfigurationError
+from pulsegate.greedy import EPS_FLOOR, MAX_AXES, InvalidConfigurationError, best_axis_step
 from pulsegate.su2 import quaternion, rx, rz, xy_rotation
 
 from conftest import random_unitary
@@ -125,6 +123,10 @@ class TestAllowedAxes:
     def test_too_few_axes_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             allowed_axes(3)
+        # the two XY phases of a 4-axis set, 0 and pi, lie on one line
+        with pytest.raises(InvalidConfigurationError):
+            allowed_axes(4)
+        assert allowed_axes(5).n_axes == 5
 
     def test_nesting(self):
         sets = {}
@@ -167,6 +169,9 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidConfigurationError):
             GreedyConfig(eps_target=0.0)
+        with pytest.raises(InvalidConfigurationError):
+            GreedyConfig(eps_target=EPS_FLOOR / 10)
+        assert GreedyConfig(eps_target=EPS_FLOOR).eps_target == 1e-24
 
 
 class TestBestAxisStep:
@@ -460,7 +465,7 @@ class TestGreedyCompile:
         config = GreedyConfig(1e-4)
         for _ in range(50):
             theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-            target = compose(rx(theta), rz(phi))
+            target = rz(phi) @ rx(theta)
             gate, report = greedy_compile(target, axes, config)
             assert gate.epsilon <= 1e-4
             # independent re-evaluation of the emitted schedule
@@ -523,7 +528,7 @@ class TestGreedyCompile:
 class TestDeepEps:
     """Errors far below 1 - F's rounding: every grid target meets eps by the vector part."""
 
-    @pytest.mark.parametrize("eps", [1e-16, 1e-20])
+    @pytest.mark.parametrize("eps", [1e-16, 1e-20, 1e-24])
     @pytest.mark.parametrize("n_axes", [6, 18, 16386])
     def test_grid_targets_meet_deep_eps(self, n_axes, eps):
         axes = allowed_axes(n_axes)

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from pulsegate import (
-    VirtualZ,
     XYPulse,
     absorb_virtual_z,
-    distance,
     hs_fidelity,
     merge_adjacent,
     pulse_count,
     sequence_unitary,
 )
-from pulsegate.ir import canonical_virtual_z, canonical_xy, schedule_error, schedule_unitary
+from pulsegate.ir import (
+    VirtualZ,
+    canonical_virtual_z,
+    canonical_xy,
+    distance,
+    schedule_error,
+    schedule_unitary,
+)
 from pulsegate.su2 import rx, rz, xy_rotation
 
 from conftest import random_canonical_sequence

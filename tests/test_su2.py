@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pulsegate import (
+from pulsegate.su2 import (
     EulerZXZ,
     InvalidAxisError,
     InvalidUnitaryError,
-    compose,
     euler_matrix,
     euler_zxz,
     hs_fidelity,
     rotation_unitary,
 )
-from pulsegate.su2 import quaternion, rx, rz, xy_rotation
+from pulsegate.su2 import mod_2pi, quaternion, rx, rz, xy_rotation
 
 from conftest import random_axis, random_unitary
 
@@ -63,20 +62,11 @@ class TestRotationUnitary:
 
 
 class TestCompose:
-    def test_identity(self, rng):
-        u = random_unitary(rng)
-        assert np.allclose(compose(np.eye(2), u), u)
-
     def test_coaxial_angles_add(self):
-        assert np.allclose(compose(rx(0.4), rx(0.9)), rx(1.3), atol=1e-14)
+        assert np.allclose(rx(0.9) @ rx(0.4), rx(1.3), atol=1e-14)
 
     def test_full_turn_is_minus_identity(self):
-        assert np.allclose(compose(rx(math.pi), rx(math.pi)), -np.eye(2), atol=1e-14)
-
-    def test_first_acts_first(self):
-        # compose(a, b) must equal the matrix product b @ a
-        a, b = rx(0.7), rz(1.1)
-        assert np.allclose(compose(a, b), b @ a)
+        assert np.allclose(rx(math.pi) @ rx(math.pi), -np.eye(2), atol=1e-14)
 
 
 class TestHsFidelity:
@@ -201,6 +191,12 @@ class TestEulerZXZ:
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidUnitaryError):
             euler_zxz(np.array([[1, 0], [0, 2]], dtype=complex))
+
+
+class TestModTwoPi:
+    def test_full_turn_folds_to_positive_zero(self):
+        # -0.0 would print as "-0" in schedule JSON
+        assert math.copysign(1.0, mod_2pi(-2 * math.pi)) == 1.0
 
 
 class TestConventions:

@@ -2,16 +2,10 @@ import math
 
 import numpy as np
 
-from pulsegate import (
-    euler_matrix,
-    euler_zxz,
-    hs_fidelity,
-    sequence_unitary,
-    u3_compile,
-    u3_sequence,
-)
+from pulsegate import hs_fidelity, sequence_unitary, u3_compile
 from pulsegate.ir import XYPulse, pulse_count
-from pulsegate.su2 import rx, rz
+from pulsegate.su2 import euler_matrix, euler_zxz, rx, rz
+from pulsegate.u3 import u3_sequence
 
 from conftest import random_unitary
 
