@@ -291,6 +291,8 @@ def cmd_verify(args) -> int:
     try:
         pulses = [ir.XYPulse(float(p["phase_rad"]), float(p["angle_rad"])) for p in doc["pulses"]]
         frame = float(doc["frame_phase_rad"])
+        if any(math.isinf(x) for x in (frame, *(v for p in pulses for v in (p.phase, p.angle)))):
+            raise ValueError("pulse and frame numbers must not be infinite")
         declared = float(doc["epsilon"])
         target = None if given else doc["target"]
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,9 +13,10 @@ guarantees termination).
 
 An XY axis at drive phase phi enters a step only through
 n.a = |a_xy| cos(phi - psi), with psi = atan2(ay, ax), and the step's
-error is concave in that product, so the best XY axis is always a grid
-neighbour of psi or of psi + pi. Each step therefore scores +/-z and at
-most 8 XY phases, whatever the size of the set.
+error is concave in that product, so the best XY axis is always the grid
+phase nearest to psi or to psi + pi. Each step therefore scores +/-z and
+at most 4 XY phases, the two grid neighbours of each, whatever the size
+of the set.
 
 Allowed axes are the +/- z lines plus n_axes - 2 >= 3 phases uniform on
 the XY-plane, so +/-x and +/-y are always present when 4 | (n_axes - 2).
@@ -119,11 +120,15 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
     `state` is (a0, ax, ay, az) of A = U T^dag. The rotation
     (c, s n), c = cos(t/2), s = sin(t/2), maps it to
     (c a0 - s n.a, c a + s a0 n + s n x a), whose error is the squared
-    vector part. Only +/-z and the XY phase indices lo-1 .. lo+2 around
-    psi and around psi + pi are scored, in set order (a non-finite state
-    scores only +/-z). A later candidate wins only when its error is
-    lower by more than the TIE_RTOL margin, so ties break to the first
-    axis in set order.
+    vector part. Only +/-z and the XY phase indices lo, lo + 1 around
+    psi and hi, hi + 1 around psi + pi are scored, in set order (a
+    non-finite state scores only +/-z). Here lo = floor(psi m / 2 pi),
+    and that product is within a few ulps of its exact value: while
+    those ulps stay below half a grid step (m up to about 2**50), the
+    phase nearest to psi is lo or lo + 1, and beyond that a phase one
+    step off scores within the tie margin of the nearest. A later
+    candidate wins only when its error is lower by more than the
+    TIE_RTOL margin, so ties break to the first axis in set order.
     """
     a0, ax, ay, az = state
     c = math.cos(step_angle / 2.0)
@@ -134,10 +139,9 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
     if math.isfinite(psi):
         lo = math.floor(psi * m / TWO_PI)
         hi = math.floor((psi + math.pi) * m / TWO_PI)
-        window = (lo - 1, lo, lo + 1, lo + 2, hi - 1, hi, hi + 1, hi + 2)
-        candidates += [2 + j for j in sorted({j % m for j in window})]
+        candidates += [2 + j for j in sorted({lo % m, (lo + 1) % m, hi % m, (hi + 1) % m})]
     margin = TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
-    best = None
+    best_error = None
     for i in candidates:
         if i < 2:
             nx, ny, nz = 0.0, 0.0, 1.0 - 2 * i
@@ -148,10 +152,11 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
         by = c * ay + s * (a0 * ny + nz * ax - nx * az)
         bz = c * az + s * (a0 * nz + nx * ay - ny * ax)
         error = bx * bx + by * by + bz * bz
-        if best is None or error < best[1] - margin:
-            b0 = c * a0 - s * (nx * ax + ny * ay + nz * az)
-            best = (i, error, (b0, bx, by, bz))
-    return best
+        if best_error is None or error < best_error - margin:
+            best_i, best_error, best_n, best_b = i, error, (nx, ny, nz), (bx, by, bz)
+    nx, ny, nz = best_n
+    b0 = c * a0 - s * (nx * ax + ny * ay + nz * az)
+    return best_i, best_error, (b0, *best_b)
 
 
 def greedy_compile(
@@ -168,7 +173,8 @@ def greedy_compile(
     gate is re-verified against the target.
     """
     t_start = time.perf_counter()
-    state = quaternion(target.conj().T)
+    (t00, t01), (t10, t11) = target.tolist()
+    state = quaternion(((t00.conjugate(), t10.conjugate()), (t01.conjugate(), t11.conjugate())))
     error = state[1] ** 2 + state[2] ** 2 + state[3] ** 2
     steps: list[ir.PulseStep] = []
     iterations = 0

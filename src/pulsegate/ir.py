@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .su2 import IDENTITY, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
+from .su2 import IDENTITY, TWO_PI, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
 
 # Canonical angles below this are dropped (pure global phase at double precision).
 ANGLE_EPS = 1e-12
@@ -79,6 +79,10 @@ def canonical_virtual_z(alpha: float) -> Optional[VirtualZ]:
 def canonical_step(step: PulseStep) -> Optional[PulseStep]:
     if isinstance(step, VirtualZ):
         return canonical_virtual_z(step.alpha)
+    # already canonical: folding would give back the same floats (phase 0
+    # still folds, so that -0.0 becomes 0.0)
+    if 0.0 < step.phase < TWO_PI and ANGLE_EPS <= step.angle <= math.pi:
+        return step
     return canonical_xy(step.phase, step.angle)
 
 
@@ -90,8 +94,10 @@ def step_unitary(step: PulseStep) -> np.ndarray:
 
 def sequence_unitary(steps: PulseSequence) -> np.ndarray:
     """Semantic unitary of a schedule; later steps left-multiply."""
-    u = IDENTITY
-    for step in steps:
+    if not steps:
+        return IDENTITY
+    u = step_unitary(steps[0])
+    for step in steps[1:]:
         u = step_unitary(step) @ u
     return u
 
@@ -111,9 +117,10 @@ def _try_merge(a: PulseStep, b: PulseStep) -> Optional[Optional[PulseStep]]:
     if isinstance(a, VirtualZ) and isinstance(b, VirtualZ):
         return canonical_virtual_z(a.alpha + b.alpha)
     if isinstance(a, XYPulse) and isinstance(b, XYPulse):
-        if _phase_delta(a.phase, b.phase) < PHASE_EPS:
+        delta = _phase_delta(a.phase, b.phase)
+        if delta < PHASE_EPS:
             return canonical_xy(a.phase, a.angle + b.angle)
-        if abs(_phase_delta(a.phase, b.phase) - math.pi) < PHASE_EPS:
+        if abs(delta - math.pi) < PHASE_EPS:
             return canonical_xy(a.phase, a.angle - b.angle)
     return _NO_RULE
 

@@ -57,6 +57,9 @@ def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
+    # an entry above 2 can never pass, and large ones would overflow the product
+    if not max(map(abs, u.flat)) <= 2.0:
+        return False
     return bool(np.max(np.abs(u.conj().T @ u - IDENTITY)) <= 1e-9)
 
 

@@ -253,6 +253,21 @@ class TestUsageErrors:
         assert code == 2 and out == "" and not caught
         assert err == "error: matrix entries must be finite\n"
 
+    @pytest.mark.parametrize("entry", ["1e308", "-1e308", "1e200", "[0, 1e200]"])
+    @pytest.mark.parametrize("form", ["--matrix", "--matrix-file"])
+    def test_overflowing_matrix_is_one_line_without_warning(self, tmp_path, form, entry):
+        # squaring such an entry overflows; it is refused before the unitarity product
+        matrix = f"[[{entry}, 0], [0, {entry}]]"
+        if form == "--matrix-file":
+            path = tmp_path / "m.json"
+            path.write_text(matrix)
+            matrix = str(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _outcome(["compile", form, matrix])
+        assert code == 2 and out == "" and not caught
+        assert err == "error: matrix is not unitary within 1e-9\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -406,7 +421,7 @@ _matrix = st.one_of(
     st.builds(
         _rotation_json,
         st.floats(-4, 4),
-        st.sampled_from([None, None, "NaN", "Infinity", "-Infinity", "[1, NaN]", "[0, 1]"]),
+        st.sampled_from([None, None, "NaN", "Infinity", "-Infinity", "[1, NaN]", "[0, 1]", "1e308", "1e200"]),
         st.integers(0, 3),
     ),
     st.lists(
@@ -475,6 +490,11 @@ class TestCliProperty:
         (root / "mismatch.json").write_text(json.dumps(doc))
         doc["pulses"][0]["angle_rad"] = math.nan
         (root / "nan-pulse.json").write_text(json.dumps(doc))
+        doc["pulses"][0]["angle_rad"] = math.inf
+        (root / "inf-pulse.json").write_text(json.dumps(doc))
+        doc["pulses"][0]["angle_rad"] = 0.5
+        doc["frame_phase_rad"] = -math.inf
+        (root / "inf-frame.json").write_text(json.dumps(doc))
         (root / "garbage.json").write_text("{not json")
         (root / "matrix.json").write_text("[[0,1],[1,0]]")
         (root / "nan-matrix.json").write_text("[[NaN,0],[0,1]]")
@@ -575,6 +595,18 @@ class TestVerifyRobustness:
         code, _, err = self.verify(capsys, tmp_path, doc)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["phase_rad", "angle_rad", "frame_phase_rad"])
+    def test_infinite_number_is_malformed(self, capsys, tmp_path, field, value):
+        doc = self.schedule(capsys, tmp_path)
+        if field == "frame_phase_rad":
+            doc[field] = value
+        else:
+            doc["pulses"][-1][field] = value
+        code, out, err = self.verify(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed schedule") and err.count("\n") == 1
 
     @pytest.mark.parametrize("doc", [{"pulses": []}, []])
     def test_malformed_schedule(self, capsys, tmp_path, doc):

@@ -390,6 +390,44 @@ class TestWindow:
         assert i >= 2
         assert abs(math.remainder(fine_axes.phase(i) - phase, 2.0 * math.pi)) <= math.pi / 16384
 
+    @pytest.mark.parametrize("n_axes", [5, 6, 10, 34, 16386, 16388, 10**12, MAX_AXES])
+    def test_psi_within_ulps_of_a_phase_or_midpoint(self, n_axes):
+        # lo = floor(psi m / 2 pi) lands on either side of a grid phase when
+        # psi is within a few ulps of it, and the nearest phase must still be
+        # lo or lo + 1; centres include phase 0 (the wrap at 0 and 2 pi), pi
+        # and the midpoints next to them
+        axes = allowed_axes(n_axes)
+        m = n_axes - 2
+        step = 2.0 * math.pi / m
+        centres = [0.0, math.pi, step, -step, math.pi + step, step / 2, -step / 2, math.pi + step / 2]
+        scan = m <= 16386
+        for centre in centres:
+            psis = [math.remainder(centre, 2.0 * math.pi)]
+            for direction in (math.inf, -math.inf):
+                p = psis[0]
+                for _ in range(4):
+                    p = math.nextafter(p, direction)
+                    psis.append(p)
+            for psi in psis:
+                # the sign of a0 puts the best axis on the psi or the psi + pi side
+                for a0, az in ((0.8, 0.05), (-0.6, -0.3)):
+                    r = math.sqrt(1.0 - a0 * a0 - az * az)
+                    state = (a0, r * math.cos(psi), r * math.sin(psi), az)
+                    current = su2_of(state, 0.0)
+                    for angle in (2.0 * math.atan2(math.sqrt(r * r + az * az), abs(a0)), 0.3):
+                        i, error, _ = best_axis_step(state, axes, angle)
+                        margin = tie_margin(state, angle)
+                        if scan:
+                            check_choice(i, error, product_errors(current, np.eye(2), axes, angle), margin)
+                            continue
+                        near = [0, 1]
+                        for c in (psi, psi + math.pi):
+                            j = round(c * m / (2 * math.pi))
+                            near += [2 + (j + k) % m for k in range(-128, 128)]
+                        assert i in near
+                        errors = product_errors(current, np.eye(2), axes, angle, indices=near)
+                        check_choice(near.index(i), error, errors, margin)
+
     @pytest.mark.parametrize("which", ["current", "target"])
     def test_non_finite_input_matches_scan(self, fine_axes, which):
         # a whole-set scan of NaN errors keeps its first axis; so does the window

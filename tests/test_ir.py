@@ -12,7 +12,9 @@ from pulsegate import (
     sequence_unitary,
 )
 from pulsegate.ir import (
+    ANGLE_EPS,
     VirtualZ,
+    canonical_step,
     canonical_virtual_z,
     canonical_xy,
     distance,
@@ -51,6 +53,18 @@ class TestCanonicalization:
         assert canonical_xy(1.0, 2 * math.pi) is None
         assert canonical_virtual_z(0.0) is None
         assert canonical_virtual_z(2 * math.pi) is None
+
+    def test_canonical_pulse_passes_through(self, rng):
+        # folding a canonical pulse gives back the same floats, so the pulse
+        # itself is returned; phase -0.0 still folds to 0.0
+        edges = [(math.nextafter(2 * math.pi, 0), math.pi), (5e-324, ANGLE_EPS), (3.0, 1.0)]
+        draws = zip(rng.uniform(0, 2 * math.pi, 200), rng.uniform(ANGLE_EPS, math.pi, 200))
+        for phase, angle in edges + [(float(p), float(a)) for p, a in draws]:
+            pulse = XYPulse(phase, angle)
+            assert canonical_step(pulse) is pulse
+            folded = canonical_xy(phase, angle)
+            assert (folded.phase.hex(), folded.angle.hex()) == (phase.hex(), angle.hex())
+        assert math.copysign(1.0, canonical_step(XYPulse(-0.0, 1.0)).phase) == 1.0
 
     def test_virtual_z_range(self):
         z = canonical_virtual_z(1.5 * math.pi)
