@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,16 +51,6 @@ class GateSpec:
     unitary: np.ndarray
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise GateSpecError(f"{what} needs {n} comma-separated numbers, got {text!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise GateSpecError(f"malformed number in {what}: {exc}") from exc
-
-
 def _matrix_from_json(data) -> np.ndarray:
     """Accept [[a, b], [c, d]] with entries as numbers or [re, im] pairs."""
 
@@ -79,56 +69,52 @@ def _matrix_from_json(data) -> np.ndarray:
     return u
 
 
+# argparse dest names of the flags that describe a target, in flag order
+TARGET_FLAGS = ("gate", "euler", "axis", "angle", "matrix", "matrix_file")
+
+
 def resolve_gate_spec(args) -> GateSpec:
-    """Turn the --gate/--euler/--axis/--matrix flags into a target description."""
-    given = [
-        name
-        for name, value in [
-            ("--gate", args.gate),
-            ("--euler", args.euler),
-            ("--axis", args.axis),
-            ("--matrix", args.matrix),
-            ("--matrix-file", args.matrix_file),
-        ]
-        if value is not None
-    ]
+    """Map the target flags to the description a schedule file would hold, and resolve it."""
+    given = [name for name in TARGET_FLAGS if name != "angle" and getattr(args, name) is not None]
     if args.angle is not None and args.axis is None:
         raise GateSpecError("--angle requires --axis")
     if len(given) != 1:
         raise GateSpecError("specify exactly one of --gate/--euler/--axis/--matrix/--matrix-file")
-    if args.gate is not None:
-        description = {"gate": args.gate.upper()}
-    elif args.euler is not None:
-        description = {"euler": _parse_floats(args.euler, 3, "--euler")}
-    elif args.axis is not None:
+    (name,) = given
+    value = getattr(args, name)
+    if name == "gate":
+        description = {"gate": value}
+    elif name == "euler":
+        description = {"euler": value.split(",")}
+    elif name == "axis":
         if args.angle is None:
             raise GateSpecError("--axis requires --angle")
-        description = {"axis": _parse_floats(args.axis, 3, "--axis"), "angle": args.angle}
-    elif args.matrix is not None:
-        try:
-            description = {"matrix": json.loads(args.matrix)}
-        except json.JSONDecodeError as exc:
-            raise GateSpecError(f"malformed --matrix JSON: {exc}") from exc
+        description = {"axis": value.split(","), "angle": args.angle}
     else:
         try:
-            with open(args.matrix_file) as fh:
-                description = {"matrix": json.load(fh)}
+            if name == "matrix_file":
+                with open(value) as fh:
+                    value = fh.read()
+            description = {"matrix": json.loads(value)}
         except (OSError, json.JSONDecodeError) as exc:
-            raise GateSpecError(f"cannot read matrix file: {exc}") from exc
+            raise GateSpecError(f"cannot read matrix: {exc}") from exc
     return gate_spec_from_json(description)
 
 
 def gate_spec_from_json(description) -> GateSpec:
     """Build and validate the target a description names.
 
-    The one place a description becomes a unitary: `compile` flags and
-    the `target` object of a schedule file both end here. The returned
-    description is normalized to the form `compile` prints, with matrix
-    entries as [re, im] pairs.
+    The one place target values are counted, converted and checked:
+    target flags (mapped to the description a schedule file would hold)
+    and the `target` object of a schedule file both end here. The
+    returned description is normalized to the form `compile` prints, gate
+    names upper-cased and matrix entries as [re, im] pairs.
     """
     try:
         if "gate" in description:
             name = description["gate"]
+            if isinstance(name, str):
+                name = name.upper()
             if name not in NAMED_GATES:
                 raise GateSpecError(f"unknown gate {name!r}; known: {', '.join(NAMED_GATES)}")
             description, u = {"gate": name}, NAMED_GATES[name]
@@ -136,8 +122,8 @@ def gate_spec_from_json(description) -> GateSpec:
             theta, phi, lam = (float(x) for x in description["euler"])
             description, u = {"euler": [theta, phi, lam]}, euler_matrix(theta, phi, lam)
         elif "axis" in description:
-            axis = [float(x) for x in description["axis"]]
-            angle = float(description["angle"])
+            nx, ny, nz = (float(x) for x in description["axis"])
+            axis, angle = [nx, ny, nz], float(description["angle"])
             description, u = {"axis": axis, "angle": angle}, rotation_unitary(axis, angle)
         elif "matrix" in description:
             u = _matrix_from_json(description["matrix"])
@@ -259,13 +245,9 @@ def cmd_bench(args) -> int:
         raise GateSpecError("need a non-empty axes list and eps decades LO:HI with 1 <= LO <= HI")
     eps_list = [10.0 ** (-k) for k in range(lo, hi + 1)]
     rows = bench.run_sweep(axes_list, eps_list)
-    header = "n_axes,eps_target,eps_mean,dist_mean,pulses_mean,time_mean_s,failures"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r.n_axes},{r.eps_target:.17g},{r.eps_mean:.17g},{r.dist_mean:.17g},"
-            f"{r.pulses_mean:.17g},{r.time_mean_s:.17g},{r.failures}"
-        )
+    names = [f.name for f in fields(bench.SweepRow)]
+    lines = [",".join(names)]
+    lines += [",".join(_fmt_value(getattr(r, name)) for name in names) for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         try:
@@ -286,21 +268,23 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read schedule: {exc}", file=sys.stderr)
         return 1
-    flags = (args.gate, args.euler, args.axis, args.angle, args.matrix, args.matrix_file)
-    given = any(x is not None for x in flags)
+    given = any(getattr(args, name) is not None for name in TARGET_FLAGS)
     try:
         pulses = [ir.XYPulse(float(p["phase_rad"]), float(p["angle_rad"])) for p in doc["pulses"]]
         frame = float(doc["frame_phase_rad"])
         if any(math.isinf(x) for x in (frame, *(v for p in pulses for v in (p.phase, p.angle)))):
             raise ValueError("pulse and frame numbers must not be infinite")
-        declared = float(doc["epsilon"])
+        declared, eps_target = float(doc["epsilon"]), float(doc["eps_target"])
+        # both, not only their min: min(declared, nan) is declared
+        if not (math.isfinite(declared) and math.isfinite(eps_target)):
+            raise ValueError("epsilon and eps_target must be finite")
         target = None if given else doc["target"]
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed schedule: {exc!r}", file=sys.stderr)
         return 1
     spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)
     eps = ir.schedule_error(spec.unitary, pulses, frame)
-    ok = eps <= declared + 1e-12
+    ok = eps <= min(declared, eps_target) + ir.ERROR_SLACK
     print(f"achieved epsilon: {eps:.17g} (declared {declared:.17g}) -> {'OK' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 

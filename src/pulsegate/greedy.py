@@ -183,15 +183,16 @@ def greedy_compile(
         if iterations >= MAX_ITERS:
             raise MaxItersError(f"no convergence within {MAX_ITERS} iterations", steps, error)
         angle = 2.0 * math.atan2(math.sqrt(error), abs(state[0]))
-        i, best, new_state = best_axis_step(state, axes, angle)
-        while not best < error:
+        while True:
+            i, best, new_state = best_axis_step(state, axes, angle)
+            if best < error:
+                break
             angle *= DAMPING_FACTOR
             damped += 1
             if not angle >= MIN_ANGLE:
                 raise NoProgressError(
                     "damping floor reached with no improving axis", steps, error
                 )
-            i, best, new_state = best_axis_step(state, axes, angle)
         if i < 2:  # the +z or -z line: a free virtual-Z shift
             steps.append(ir.VirtualZ((1 - 2 * i) * angle))
         else:
@@ -203,7 +204,7 @@ def greedy_compile(
     gate, report = ir.finish(
         target, steps, ir.merge_adjacent(pulses), frame_phase, iterations, damped, t_start
     )
-    if not gate.epsilon <= config.eps_target + 1e-12:
+    if not gate.epsilon <= config.eps_target + ir.ERROR_SLACK:
         raise CompileError(
             f"post-pass error {gate.epsilon} exceeds target {config.eps_target}",
             steps,

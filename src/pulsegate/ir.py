@@ -32,6 +32,10 @@ from .su2 import IDENTITY, TWO_PI, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotat
 ANGLE_EPS = 1e-12
 # Tolerance for recognizing equal / antipodal pulse phases when merging.
 PHASE_EPS = 1e-12
+# Rounding allowance of the gate error 1 - F, which cancels near F = 1:
+# the acceptance checks (greedy's post-pass re-check and `verify`) pass a
+# schedule_error up to this much above its target.
+ERROR_SLACK = 1e-12
 
 
 @dataclass(frozen=True)

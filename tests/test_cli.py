@@ -495,6 +495,9 @@ class TestCliProperty:
         doc["pulses"][0]["angle_rad"] = 0.5
         doc["frame_phase_rad"] = -math.inf
         (root / "inf-frame.json").write_text(json.dumps(doc))
+        doc["frame_phase_rad"] = 0.0
+        doc["epsilon"] = math.inf
+        (root / "inf-epsilon.json").write_text(json.dumps(doc))
         (root / "garbage.json").write_text("{not json")
         (root / "matrix.json").write_text("[[0,1],[1,0]]")
         (root / "nan-matrix.json").write_text("[[NaN,0],[0,1]]")
@@ -608,11 +611,73 @@ class TestVerifyRobustness:
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["epsilon", "eps_target"])
+    def test_non_finite_epsilon_is_malformed(self, capsys, tmp_path, field, value):
+        # NaN too: min(declared, nan) is declared, so each is checked on its own
+        doc = self.schedule(capsys, tmp_path)
+        doc[field] = value
+        code, out, err = self.verify(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+
+    def test_loose_declared_epsilon_does_not_hide_a_miss(self, capsys, tmp_path):
+        doc = self.schedule(capsys, tmp_path)
+        doc["epsilon"] = 1.0
+        doc["pulses"] = [{"phase_rad": 0.3, "angle_rad": 1.0}, {"phase_rad": 2.0, "angle_rad": 0.4},
+                         {"phase_rad": 4.0, "angle_rad": 2.0}]
+        code, out, _ = self.verify(capsys, tmp_path, doc)
+        assert code == 1
+        assert out.endswith("(declared 1) -> MISMATCH\n")
+
     @pytest.mark.parametrize("doc", [{"pulses": []}, []])
     def test_malformed_schedule(self, capsys, tmp_path, doc):
         code, _, err = self.verify(capsys, tmp_path, doc)
         assert code == 1
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+
+
+# The same target as flags and as a schedule file's description; None: no flag form.
+TARGET_FORMS = [
+    pytest.param(["--euler=-0.4,1.1,2.5"], {"euler": [-0.4, 1.1, 2.5]}, id="euler"),
+    pytest.param(["--axis=-0.6,0,0.8", "--angle=1.3"], {"axis": [-0.6, 0, 0.8], "angle": 1.3}, id="axis"),
+    pytest.param(["--gate", "h"], {"gate": "H"}, id="gate-lowercase-flag"),
+    pytest.param(["--gate", "H"], {"gate": "h"}, id="gate-lowercase-file"),
+    pytest.param(["--euler=1,2"], {"euler": [1, 2]}, id="euler-count"),
+    pytest.param(["--axis=0,0,1,0", "--angle=1"], {"axis": [0, 0, 1, 0], "angle": 1}, id="axis-count"),
+    pytest.param(["--euler=1,abc,3"], {"euler": [1, "abc", 3]}, id="euler-number"),
+    pytest.param(["--axis=0,x,1", "--angle=1"], {"axis": [0, "x", 1], "angle": 1}, id="axis-number"),
+    pytest.param(None, {"gate": 5}, id="gate-int"),
+    pytest.param(None, {"gate": ["H"]}, id="gate-list"),
+    pytest.param(None, {"gate": None}, id="gate-null"),
+]
+
+
+@pytest.mark.parametrize("flags, description", TARGET_FORMS)
+def test_flags_and_files_resolve_alike(tmp_path, flags, description):
+    """`verify` of one H schedule prints the same whether its target comes from flags or the file."""
+    code, out, _ = _outcome(["compile", "--gate", "H"])
+    assert code == 0
+    doc = json.loads(out)
+    doc["target"] = description
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = from_file = _outcome(["verify", "--schedule", str(path)])
+    if flags is not None:
+        assert _outcome(["verify", "--schedule", str(path), *flags]) == from_file
+    try:
+        spec = cli.gate_spec_from_json(description)
+    except cli.GateSpecError:
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        return
+    assert code in (0, 1) and err == ""
+    if flags is not None:
+        from_flags = cli.resolve_gate_spec(build_parser().parse_args(["compile", *flags]))
+        assert from_flags.description == spec.description
+        assert np.array_equal(from_flags.unitary, spec.unitary)
+    if description.get("gate") == "h":
+        assert code == 0 and spec.description == {"gate": "H"}
 
 
 class TestGolden:

@@ -17,7 +17,7 @@ from pulsegate import (
     hs_fidelity,
     rotation_unitary,
 )
-from pulsegate import greedy
+from pulsegate import greedy, ir
 from pulsegate.greedy import EPS_FLOOR, MAX_AXES, InvalidConfigurationError, best_axis_step
 from pulsegate.su2 import quaternion, rx, rz, xy_rotation
 
@@ -563,8 +563,36 @@ class TestGreedyCompile:
         assert gate.pulse_count == 1 and gate.epsilon <= 1e-10
 
 
+# Haar-random unit quaternions (Shoemake's construction from three uniform draws)
+haar_quaternions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+    lambda u: (
+        math.sqrt(1.0 - u[0]) * math.sin(2.0 * math.pi * u[1]),
+        math.sqrt(1.0 - u[0]) * math.cos(2.0 * math.pi * u[1]),
+        math.sqrt(u[0]) * math.sin(2.0 * math.pi * u[2]),
+        math.sqrt(u[0]) * math.cos(2.0 * math.pi * u[2]),
+    )
+)
+
+
 class TestDeepEps:
     """Errors far below 1 - F's rounding: every grid target meets eps by the vector part."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        q=haar_quaternions,
+        phase=st.floats(0.0, 2.0 * math.pi),
+        n_axes=st.one_of(st.integers(5, 64), st.sampled_from([16386, 10**12])),
+        log_eps=st.floats(math.log10(EPS_FLOOR), math.log10(0.5), exclude_max=True),
+    )
+    def test_every_finite_unitary_compiles_or_raises(self, q, phase, n_axes, log_eps):
+        target = su2_of(q, phase)
+        eps = 10.0**log_eps
+        try:
+            gate, _ = greedy_compile(target, allowed_axes(n_axes), GreedyConfig(eps))
+        except CompileError:
+            return
+        assert gate.epsilon <= eps + ir.ERROR_SLACK
+        assert abs(vector_part_error(target, gate) - gate.epsilon) <= 1e-14
 
     @pytest.mark.parametrize("eps", [1e-16, 1e-20, 1e-24])
     @pytest.mark.parametrize("n_axes", [6, 18, 16386])
