@@ -10,6 +10,7 @@ which fit_log_model quantifies.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -83,8 +84,9 @@ def run_sweep(
     Every axis count and eps_target is validated before the first
     compile. Failures (stall or iteration budget) are counted per row and
     excluded from the means; time_mean_s averages each gate's own
-    compile_time. With keep_gates=True also returns the per-gate
-    CompiledGate lists keyed by (n_axes, eps_target), for verification.
+    compile_time, measured with automatic garbage collection paused. With
+    keep_gates=True also returns the per-gate CompiledGate lists keyed by
+    (n_axes, eps_target), for verification.
     """
     if dataset is None:
         dataset = evaluation_dataset()
@@ -92,39 +94,49 @@ def run_sweep(
     configs = [GreedyConfig(eps_target=eps) for eps in eps_list]
     rows: list[SweepRow] = []
     gates: dict[tuple[int, float], list[CompiledGate | None]] = {}
-    for axes in axis_sets:
-        n_axes = axes.n_axes
-        for config in configs:
-            eps = config.eps_target
-            eps_sum = dist_sum = pulses_sum = time_sum = 0.0
-            failures = 0
-            cell: list[CompiledGate | None] = []
-            for target in dataset:
-                try:
-                    gate, _ = greedy_compile(target.unitary, axes, config)
-                except CompileError:
-                    failures += 1
-                    cell.append(None)
-                    continue
-                eps_sum += gate.epsilon
-                dist_sum += gate.distance
-                pulses_sum += gate.pulse_count
-                time_sum += gate.compile_time
-                cell.append(gate)
-            ok = len(dataset) - failures
-            rows.append(
-                SweepRow(
-                    n_axes=n_axes,
-                    eps_target=eps,
-                    eps_mean=eps_sum / ok if ok else math.nan,
-                    dist_mean=dist_sum / ok if ok else math.nan,
-                    pulses_mean=pulses_sum / ok if ok else math.nan,
-                    time_mean_s=time_sum / ok if ok else math.nan,
-                    failures=failures,
+    # Automatic garbage collection is off while cells are timed, as in
+    # timeit: a full collection walks the caller's whole heap, which takes
+    # tens of ms in a large process such as a test session, and its pause
+    # would be counted in whichever cell happened to be running.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for axes in axis_sets:
+            n_axes = axes.n_axes
+            for config in configs:
+                eps = config.eps_target
+                eps_sum = dist_sum = pulses_sum = time_sum = 0.0
+                failures = 0
+                cell: list[CompiledGate | None] = []
+                for target in dataset:
+                    try:
+                        gate, _ = greedy_compile(target.unitary, axes, config)
+                    except CompileError:
+                        failures += 1
+                        cell.append(None)
+                        continue
+                    eps_sum += gate.epsilon
+                    dist_sum += gate.distance
+                    pulses_sum += gate.pulse_count
+                    time_sum += gate.compile_time
+                    cell.append(gate)
+                ok = len(dataset) - failures
+                rows.append(
+                    SweepRow(
+                        n_axes=n_axes,
+                        eps_target=eps,
+                        eps_mean=eps_sum / ok if ok else math.nan,
+                        dist_mean=dist_sum / ok if ok else math.nan,
+                        pulses_mean=pulses_sum / ok if ok else math.nan,
+                        time_mean_s=time_sum / ok if ok else math.nan,
+                        failures=failures,
+                    )
                 )
-            )
-            if keep_gates:
-                gates[(n_axes, eps)] = cell
+                if keep_gates:
+                    gates[(n_axes, eps)] = cell
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if keep_gates:
         return rows, gates
     return rows

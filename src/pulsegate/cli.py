@@ -101,6 +101,24 @@ def resolve_gate_spec(args) -> GateSpec:
     return gate_spec_from_json(description)
 
 
+def _numbers(description: dict, key: str, count: int) -> list[float]:
+    """The `count` numbers a description holds under `key`; errors name the key and the count."""
+    values = description[key]
+    if not isinstance(values, list):
+        raise GateSpecError(f"{key} needs a list of {count} numbers, got {values!r}")
+    if len(values) != count:
+        raise GateSpecError(f"{key} needs {count} numbers, got {len(values)}")
+    return [_number(x, key) for x in values]
+
+
+def _number(x, key: str) -> float:
+    """`x` as a float; an error names the key it came from."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise GateSpecError(f"malformed number in {key}: {x!r}") from None
+
+
 def gate_spec_from_json(description) -> GateSpec:
     """Build and validate the target a description names.
 
@@ -110,6 +128,8 @@ def gate_spec_from_json(description) -> GateSpec:
     returned description is normalized to the form `compile` prints, gate
     names upper-cased and matrix entries as [re, im] pairs.
     """
+    if not isinstance(description, dict):
+        raise GateSpecError(f"unrecognized target spec: {description!r}")
     try:
         if "gate" in description:
             name = description["gate"]
@@ -119,11 +139,13 @@ def gate_spec_from_json(description) -> GateSpec:
                 raise GateSpecError(f"unknown gate {name!r}; known: {', '.join(NAMED_GATES)}")
             description, u = {"gate": name}, NAMED_GATES[name]
         elif "euler" in description:
-            theta, phi, lam = (float(x) for x in description["euler"])
-            description, u = {"euler": [theta, phi, lam]}, euler_matrix(theta, phi, lam)
+            euler = _numbers(description, "euler", 3)
+            description, u = {"euler": euler}, euler_matrix(*euler)
         elif "axis" in description:
-            nx, ny, nz = (float(x) for x in description["axis"])
-            axis, angle = [nx, ny, nz], float(description["angle"])
+            if "angle" not in description:
+                raise GateSpecError('axis target needs "angle"')
+            axis = _numbers(description, "axis", 3)
+            angle = _number(description["angle"], "angle")
             description, u = {"axis": axis, "angle": angle}, rotation_unitary(axis, angle)
         elif "matrix" in description:
             u = _matrix_from_json(description["matrix"])
@@ -134,7 +156,7 @@ def gate_spec_from_json(description) -> GateSpec:
             raise GateSpecError(f"unrecognized target spec: {description!r}")
     except GateSpecError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GateSpecError(f"invalid target: {exc}") from exc
     if not np.isfinite(u).all():
         raise GateSpecError("target unitary is not finite")
@@ -279,7 +301,7 @@ def cmd_verify(args) -> int:
         if not (math.isfinite(declared) and math.isfinite(eps_target)):
             raise ValueError("epsilon and eps_target must be finite")
         target = None if given else doc["target"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"error: malformed schedule: {exc!r}", file=sys.stderr)
         return 1
     spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)

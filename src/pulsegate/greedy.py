@@ -120,42 +120,58 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
     `state` is (a0, ax, ay, az) of A = U T^dag. The rotation
     (c, s n), c = cos(t/2), s = sin(t/2), maps it to
     (c a0 - s n.a, c a + s a0 n + s n x a), whose error is the squared
-    vector part. Only +/-z and the XY phase indices lo, lo + 1 around
-    psi and hi, hi + 1 around psi + pi are scored, in set order (a
-    non-finite state scores only +/-z). Here lo = floor(psi m / 2 pi),
-    and that product is within a few ulps of its exact value: while
-    those ulps stay below half a grid step (m up to about 2**50), the
-    phase nearest to psi is lo or lo + 1, and beyond that a phase one
-    step off scores within the tie margin of the nearest. A later
-    candidate wins only when its error is lower by more than the
-    TIE_RTOL margin, so ties break to the first axis in set order.
+    vector part. Each candidate is scored in closed form, without the
+    terms of n that are zero:
+      +/-z:          b = (c ax -/+ s ay, c ay +/- s ax, c az +/- s a0),
+                     b0 = c a0 -/+ s az;
+      XY phase phi:  n = (cos phi, sin phi, 0),
+                     b = (c ax + s (a0 nx + ny az), c ay + s (a0 ny - nx az),
+                          c az + s (nx ay - ny ax)),
+                     b0 = c a0 - s (nx ax + ny ay).
+    Only +/-z and the XY phase indices lo, lo + 1 around psi and hi,
+    hi + 1 around psi + pi are scored, in set order (a non-finite state
+    scores only +/-z). Here lo = floor(psi m / 2 pi), and that product
+    is within a few ulps of its exact value: while those ulps stay below
+    half a grid step (m up to about 2**50), the phase nearest to psi is
+    lo or lo + 1, and beyond that a phase one step off scores within the
+    tie margin of the nearest. A later candidate wins only when its
+    error is lower by more than the TIE_RTOL margin, so ties break to
+    the first axis in set order.
     """
     a0, ax, ay, az = state
     c = math.cos(step_angle / 2.0)
     s = math.sin(step_angle / 2.0)
-    m = axes.n_axes - 2
+    cx, cy, cz = c * ax, c * ay, c * az
+    margin = TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
+    sx, sy, s0 = s * ax, s * ay, s * a0
+    # +z (index 0) is the first candidate, then -z (index 1)
+    bx, by, bz = cx - sy, cy + sx, cz + s0
+    best_i, best_error, best_b = 0, bx * bx + by * by + bz * bz, (bx, by, bz)
+    bx, by, bz = cx + sy, cy - sx, cz - s0
+    error = bx * bx + by * by + bz * bz
+    if error < best_error - margin:
+        best_i, best_error, best_b = 1, error, (bx, by, bz)
     psi = math.atan2(ay, ax)
-    candidates = [0, 1]
     if math.isfinite(psi):
+        m = axes.n_axes - 2
         lo = math.floor(psi * m / TWO_PI)
         hi = math.floor((psi + math.pi) * m / TWO_PI)
-        candidates += [2 + j for j in sorted({lo % m, (lo + 1) % m, hi % m, (hi + 1) % m})]
-    margin = TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
-    best_error = None
-    for i in candidates:
-        if i < 2:
-            nx, ny, nz = 0.0, 0.0, 1.0 - 2 * i
-        else:
-            phi = axes.phase(i)
-            nx, ny, nz = math.cos(phi), math.sin(phi), 0.0
-        bx = c * ax + s * (a0 * nx + ny * az - nz * ay)
-        by = c * ay + s * (a0 * ny + nz * ax - nx * az)
-        bz = c * az + s * (a0 * nz + nx * ay - ny * ax)
-        error = bx * bx + by * by + bz * bz
-        if best_error is None or error < best_error - margin:
-            best_i, best_error, best_n, best_b = i, error, (nx, ny, nz), (bx, by, bz)
-    nx, ny, nz = best_n
-    b0 = c * a0 - s * (nx * ax + ny * ay + nz * az)
+        for j in sorted({lo % m, (lo + 1) % m, hi % m, (hi + 1) % m}):
+            phi = axes.phase(2 + j)
+            nx, ny = math.cos(phi), math.sin(phi)
+            bx = cx + s * (a0 * nx + ny * az)
+            by = cy + s * (a0 * ny - nx * az)
+            bz = cz + s * (nx * ay - ny * ax)
+            error = bx * bx + by * by + bz * bz
+            if error < best_error - margin:
+                best_i, best_error, best_n, best_b = 2 + j, error, (nx, ny), (bx, by, bz)
+    if best_i == 0:
+        b0 = c * a0 - s * az
+    elif best_i == 1:
+        b0 = c * a0 + s * az
+    else:
+        nx, ny = best_n
+        b0 = c * a0 - s * (nx * ax + ny * ay)
     return best_i, best_error, (b0, *best_b)
 
 

@@ -1,9 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from pulsegate import evaluation_dataset, fit_log_model, hs_fidelity, run_sweep
+from pulsegate import bench, evaluation_dataset, fit_log_model, greedy_compile, hs_fidelity, run_sweep
 from pulsegate.bench import InsufficientDataError
 from pulsegate.su2 import rx, rz
 
@@ -57,6 +58,31 @@ class TestRunSweep:
         rows, gates = run_sweep([6], [1e-2], keep_gates=True)
         assert set(gates) == {(6, 1e-2)}
         assert len(gates[(6, 1e-2)]) == 128
+
+    def test_garbage_collection_paused_while_timing(self, monkeypatch):
+        # a full collection's pause must not land in a timed cell; the
+        # caller's setting comes back afterwards, also after an error
+        seen = []
+
+        def compile_and_record(target, axes, config):
+            seen.append(gc.isenabled())
+            return greedy_compile(target, axes, config)
+
+        monkeypatch.setattr(bench, "greedy_compile", compile_and_record)
+        dataset = evaluation_dataset()[:4]
+        assert gc.isenabled()
+        run_sweep([6], [1e-2], dataset=dataset)
+        assert seen == [False] * 4 and gc.isenabled()
+        gc.disable()
+        try:
+            run_sweep([6], [1e-2], dataset=dataset)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        monkeypatch.setattr(bench, "greedy_compile", None)
+        with pytest.raises(TypeError):
+            run_sweep([6], [1e-2], dataset=dataset)
+        assert gc.isenabled()
 
 
 class TestFitLogModel:

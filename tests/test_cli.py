@@ -611,6 +611,17 @@ class TestVerifyRobustness:
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["phase_rad", "frame_phase_rad", "epsilon"])
+    def test_integer_too_large_for_a_float_is_malformed(self, capsys, tmp_path, field):
+        doc = self.schedule(capsys, tmp_path)
+        if field == "phase_rad":
+            doc["pulses"][0][field] = 10**400
+        else:
+            doc[field] = 10**400
+        code, out, err = self.verify(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["epsilon", "eps_target"])
     def test_non_finite_epsilon_is_malformed(self, capsys, tmp_path, field, value):
@@ -637,24 +648,38 @@ class TestVerifyRobustness:
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
 
 
-# The same target as flags and as a schedule file's description; None: no flag form.
+# The same target as flags and as a schedule file's description, and the
+# error both must print; flags None: no flag form; message None: a valid
+# target, or an error whose wording is not pinned.
 TARGET_FORMS = [
-    pytest.param(["--euler=-0.4,1.1,2.5"], {"euler": [-0.4, 1.1, 2.5]}, id="euler"),
-    pytest.param(["--axis=-0.6,0,0.8", "--angle=1.3"], {"axis": [-0.6, 0, 0.8], "angle": 1.3}, id="axis"),
-    pytest.param(["--gate", "h"], {"gate": "H"}, id="gate-lowercase-flag"),
-    pytest.param(["--gate", "H"], {"gate": "h"}, id="gate-lowercase-file"),
-    pytest.param(["--euler=1,2"], {"euler": [1, 2]}, id="euler-count"),
-    pytest.param(["--axis=0,0,1,0", "--angle=1"], {"axis": [0, 0, 1, 0], "angle": 1}, id="axis-count"),
-    pytest.param(["--euler=1,abc,3"], {"euler": [1, "abc", 3]}, id="euler-number"),
-    pytest.param(["--axis=0,x,1", "--angle=1"], {"axis": [0, "x", 1], "angle": 1}, id="axis-number"),
-    pytest.param(None, {"gate": 5}, id="gate-int"),
-    pytest.param(None, {"gate": ["H"]}, id="gate-list"),
-    pytest.param(None, {"gate": None}, id="gate-null"),
+    pytest.param(["--euler=-0.4,1.1,2.5"], {"euler": [-0.4, 1.1, 2.5]}, None, id="euler"),
+    pytest.param(["--axis=-0.6,0,0.8", "--angle=1.3"], {"axis": [-0.6, 0, 0.8], "angle": 1.3}, None, id="axis"),
+    pytest.param(["--gate", "h"], {"gate": "H"}, None, id="gate-lowercase-flag"),
+    pytest.param(["--gate", "H"], {"gate": "h"}, None, id="gate-lowercase-file"),
+    pytest.param(["--euler=1,2"], {"euler": [1, 2]}, "euler needs 3 numbers, got 2", id="euler-count"),
+    pytest.param(["--axis=0,0,1,0", "--angle=1"], {"axis": [0, 0, 1, 0], "angle": 1},
+                 "axis needs 3 numbers, got 4", id="axis-count"),
+    pytest.param(["--euler=1,abc,3"], {"euler": [1, "abc", 3]}, "malformed number in euler: 'abc'",
+                 id="euler-number"),
+    pytest.param(["--axis=0,x,1", "--angle=1"], {"axis": [0, "x", 1], "angle": 1},
+                 "malformed number in axis: 'x'", id="axis-number"),
+    pytest.param(None, {"gate": 5}, None, id="gate-int"),
+    pytest.param(None, {"gate": ["H"]}, None, id="gate-list"),
+    pytest.param(None, {"gate": None}, None, id="gate-null"),
+    pytest.param(None, {"axis": [0, 0, 1]}, 'axis target needs "angle"', id="axis-no-angle"),
+    pytest.param(None, {"axis": [0, 0, 1], "angle": "x"}, "malformed number in angle: 'x'", id="angle-number"),
+    pytest.param(None, {"axis": [0, 0, 1], "angle": None}, "malformed number in angle: None", id="angle-null"),
+    pytest.param(None, {"euler": 5}, "euler needs a list of 3 numbers, got 5", id="euler-not-a-list"),
+    pytest.param(None, {"euler": "1,2,3"}, "euler needs a list of 3 numbers, got '1,2,3'", id="euler-string"),
+    pytest.param(None, {"euler": [1, 2, 10**400]}, f"malformed number in euler: {10**400}",
+                 id="euler-int-too-large"),
+    pytest.param(None, 5, "unrecognized target spec: 5", id="target-int"),
+    pytest.param(None, {"matrix": [[10**400, 0], [0, 1]]}, None, id="matrix-int-too-large"),
 ]
 
 
-@pytest.mark.parametrize("flags, description", TARGET_FORMS)
-def test_flags_and_files_resolve_alike(tmp_path, flags, description):
+@pytest.mark.parametrize("flags, description, message", TARGET_FORMS)
+def test_flags_and_files_resolve_alike(tmp_path, flags, description, message):
     """`verify` of one H schedule prints the same whether its target comes from flags or the file."""
     code, out, _ = _outcome(["compile", "--gate", "H"])
     assert code == 0
@@ -670,7 +695,10 @@ def test_flags_and_files_resolve_alike(tmp_path, flags, description):
     except cli.GateSpecError:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        if message is not None:
+            assert err == f"error: {message}\n"
         return
+    assert message is None
     assert code in (0, 1) and err == ""
     if flags is not None:
         from_flags = cli.resolve_gate_spec(build_parser().parse_args(["compile", *flags]))

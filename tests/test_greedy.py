@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,66 @@ class TestBestAxisStep:
                 rotated = rotation_unitary(unit_vector(axes, i), angle) @ current
                 assert_same_state(new, state_of(rotated, target))
                 assert error == new[1] ** 2 + new[2] ** 2 + new[3] ** 2
+
+
+def cross_product_step(state, axes, step_angle):
+    """Reference step: every candidate through the generic (c a0 - s n.a, c a + s a0 n + s n x a).
+
+    The same candidates, margin and set-order tie rule as best_axis_step,
+    with each unit vector written out in full, zeros included.
+    """
+    a0, ax, ay, az = state
+    c = math.cos(step_angle / 2.0)
+    s = math.sin(step_angle / 2.0)
+    m = axes.n_axes - 2
+    psi = math.atan2(ay, ax)
+    candidates = [0, 1]
+    if math.isfinite(psi):
+        lo = math.floor(psi * m / (2.0 * math.pi))
+        hi = math.floor((psi + math.pi) * m / (2.0 * math.pi))
+        candidates += [2 + j for j in sorted({lo % m, (lo + 1) % m, hi % m, (hi + 1) % m})]
+    margin = greedy.TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
+    best = None
+    for i in candidates:
+        nx, ny, nz = unit_vector(axes, i)
+        bx = c * ax + s * (a0 * nx + ny * az - nz * ay)
+        by = c * ay + s * (a0 * ny + nz * ax - nx * az)
+        bz = c * az + s * (a0 * nz + nx * ay - ny * ax)
+        error = bx * bx + by * by + bz * bz
+        if best is None or error < best[1] - margin:
+            b0 = c * a0 - s * (nx * ax + ny * ay + nz * az)
+            best = (i, error, (b0, bx, by, bz))
+    return best
+
+
+SPECIAL_COMPONENTS = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324]
+STEP_SIZES = [5, 6, 7, 10, 18, 34, 16386, 10**12, MAX_AXES]
+STEP_ANGLES = [math.pi, 1e-7, 0.0]
+
+
+class TestClosedFormStep:
+    """best_axis_step's closed forms give the generic cross-product step's results exactly."""
+
+    def test_matches_cross_product_step(self):
+        # seeded finite states: each component is a special value (signed
+        # zeros, units, the smallest magnitudes) or uniform in [-1, 1]
+        draw = random.Random(2).random
+        axes = {n: allowed_axes(n) for n in STEP_SIZES}
+        for _ in range(20_000):
+            state = tuple(
+                SPECIAL_COMPONENTS[int(len(SPECIAL_COMPONENTS) * draw())]
+                if draw() < 0.4
+                else 2.0 * draw() - 1.0
+                for _ in range(4)
+            )
+            n_axes = STEP_SIZES[int(len(STEP_SIZES) * draw())]
+            angle = STEP_ANGLES[int(len(STEP_ANGLES) * draw())] if draw() < 0.75 else math.pi * draw()
+            i, error, new = best_axis_step(state, axes[n_axes], angle)
+            ref_i, ref_error, ref_new = cross_product_step(state, axes[n_axes], angle)
+            assert i == ref_i, (state, n_axes, angle)
+            assert error.hex() == ref_error.hex(), (state, n_axes, angle)
+            # equal under ==: a zero component may differ in sign only
+            assert new == ref_new, (state, n_axes, angle)
 
 
 def su2_of(q, phase):
