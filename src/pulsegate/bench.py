@@ -76,10 +76,9 @@ def evaluation_dataset() -> list[EvalTarget]:
 def run_sweep(
     axes_list: Sequence[int] = DEFAULT_AXES_LIST,
     eps_list: Sequence[float] = DEFAULT_EPS_LIST,
-    dataset: Sequence[EvalTarget] | None = None,
     keep_gates: bool = False,
 ) -> list[SweepRow] | tuple[list[SweepRow], dict]:
-    """Compile the dataset for every (n_axes, eps_target) pair.
+    """Compile the evaluation dataset for every (n_axes, eps_target) pair.
 
     Every axis count and eps_target is validated before the first
     compile. Failures (stall or iteration budget) are counted per row and
@@ -88,8 +87,7 @@ def run_sweep(
     keep_gates=True also returns the per-gate CompiledGate lists keyed by
     (n_axes, eps_target), for verification.
     """
-    if dataset is None:
-        dataset = evaluation_dataset()
+    dataset = evaluation_dataset()
     axis_sets = [allowed_axes(n) for n in axes_list]
     configs = [GreedyConfig(eps_target=eps) for eps in eps_list]
     rows: list[SweepRow] = []
@@ -104,42 +102,41 @@ def run_sweep(
         for axes in axis_sets:
             n_axes = axes.n_axes
             for config in configs:
-                eps = config.eps_target
-                eps_sum = dist_sum = pulses_sum = time_sum = 0.0
-                failures = 0
                 cell: list[CompiledGate | None] = []
                 for target in dataset:
                     try:
                         gate, _ = greedy_compile(target.unitary, axes, config)
                     except CompileError:
-                        failures += 1
-                        cell.append(None)
-                        continue
-                    eps_sum += gate.epsilon
-                    dist_sum += gate.distance
-                    pulses_sum += gate.pulse_count
-                    time_sum += gate.compile_time
+                        gate = None
                     cell.append(gate)
-                ok = len(dataset) - failures
+                ok = [gate for gate in cell if gate is not None]
                 rows.append(
                     SweepRow(
                         n_axes=n_axes,
-                        eps_target=eps,
-                        eps_mean=eps_sum / ok if ok else math.nan,
-                        dist_mean=dist_sum / ok if ok else math.nan,
-                        pulses_mean=pulses_sum / ok if ok else math.nan,
-                        time_mean_s=time_sum / ok if ok else math.nan,
-                        failures=failures,
+                        eps_target=config.eps_target,
+                        eps_mean=_mean([gate.epsilon for gate in ok]),
+                        dist_mean=_mean([gate.distance for gate in ok]),
+                        pulses_mean=_mean([gate.pulse_count for gate in ok]),
+                        time_mean_s=_mean([gate.compile_time for gate in ok]),
+                        failures=len(cell) - len(ok),
                     )
                 )
                 if keep_gates:
-                    gates[(n_axes, eps)] = cell
+                    gates[(n_axes, config.eps_target)] = cell
     finally:
         if gc_was_enabled:
             gc.enable()
     if keep_gates:
         return rows, gates
     return rows
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean summed left to right from 0.0 (sum() compensates on Python 3.12+); NaN if empty."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total / len(values) if values else math.nan
 
 
 def fit_log_model(eps_targets: Sequence[float], ys: Sequence[float]) -> FitResult:

@@ -54,14 +54,17 @@ class GateSpec:
 def _matrix_from_json(data) -> np.ndarray:
     """Accept [[a, b], [c, d]] with entries as numbers or [re, im] pairs."""
 
+    def pair(x) -> bool:
+        return isinstance(x, list) and len(x) == 2
+
     def entry(x) -> complex:
         if isinstance(x, (int, float)):
-            return complex(x)
-        if isinstance(x, list) and len(x) == 2:
-            return complex(float(x[0]), float(x[1]))
+            return complex(_number(x, "matrix"))
+        if pair(x):
+            return complex(_number(x[0], "matrix"), _number(x[1], "matrix"))
         raise GateSpecError(f"matrix entry must be a number or [re, im] pair: {x!r}")
 
-    if not (isinstance(data, list) and len(data) == 2 and all(len(r) == 2 for r in data)):
+    if not (pair(data) and all(map(pair, data))):
         raise GateSpecError("matrix must be 2x2")
     u = np.array([[entry(x) for x in row] for row in data])
     if not np.isfinite(u).all():  # before is_unitary, whose matmul would warn on NaN/inf
@@ -133,8 +136,9 @@ def gate_spec_from_json(description) -> GateSpec:
     try:
         if "gate" in description:
             name = description["gate"]
-            if isinstance(name, str):
-                name = name.upper()
+            if not isinstance(name, str):
+                raise GateSpecError(f"gate needs a name, got {name!r}")
+            name = name.upper()
             if name not in NAMED_GATES:
                 raise GateSpecError(f"unknown gate {name!r}; known: {', '.join(NAMED_GATES)}")
             description, u = {"gate": name}, NAMED_GATES[name]

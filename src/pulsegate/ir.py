@@ -199,7 +199,7 @@ class CompiledGate:
 
     def unitary(self) -> np.ndarray:
         """Evaluate pulses followed by the trailing frame shift."""
-        return schedule_unitary(self.pulses, self.frame_phase)
+        return sequence_unitary([*self.pulses, VirtualZ(self.frame_phase)])
 
 
 @dataclass(frozen=True)
@@ -213,19 +213,12 @@ class CompileReport:
     post_pass_pulse_count: int
 
 
-def schedule_unitary(pulses: Sequence[XYPulse], frame_phase: float) -> np.ndarray:
-    """Evaluate physical pulses followed by the trailing frame shift."""
-    u = sequence_unitary(pulses)
-    if frame_phase != 0.0:
-        u = rz(frame_phase) @ u
-    return u
-
-
 def schedule_error(
     target: np.ndarray, pulses: Sequence[XYPulse], frame_phase: float
 ) -> float:
     """Gate error 1 - F of a finished schedule; roundoff below 0 reads 0, NaN stays NaN."""
-    return max(1.0 - hs_fidelity(target, schedule_unitary(pulses, frame_phase)), 0.0)
+    u = sequence_unitary([*pulses, VirtualZ(frame_phase)])
+    return max(1.0 - hs_fidelity(target, u), 0.0)
 
 
 def finish(

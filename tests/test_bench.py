@@ -69,19 +69,18 @@ class TestRunSweep:
             return greedy_compile(target, axes, config)
 
         monkeypatch.setattr(bench, "greedy_compile", compile_and_record)
-        dataset = evaluation_dataset()[:4]
         assert gc.isenabled()
-        run_sweep([6], [1e-2], dataset=dataset)
-        assert seen == [False] * 4 and gc.isenabled()
+        run_sweep([6], [1e-2])
+        assert seen == [False] * 128 and gc.isenabled()
         gc.disable()
         try:
-            run_sweep([6], [1e-2], dataset=dataset)
+            run_sweep([6], [1e-2])
             assert not gc.isenabled()
         finally:
             gc.enable()
         monkeypatch.setattr(bench, "greedy_compile", None)
         with pytest.raises(TypeError):
-            run_sweep([6], [1e-2], dataset=dataset)
+            run_sweep([6], [1e-2])
         assert gc.isenabled()
 
 

@@ -58,6 +58,6 @@ def test_root_exports_exactly_what_callers_import():
 
 
 def test_run_sweep_returns_rows():
-    rows = bench.run_sweep([6], [1e-1], dataset=pg.evaluation_dataset()[:4])
+    rows = bench.run_sweep([6], [1e-1])
     assert isinstance(rows, list) and len(rows) == 1
     assert rows[0].failures == 0

@@ -663,9 +663,10 @@ TARGET_FORMS = [
                  id="euler-number"),
     pytest.param(["--axis=0,x,1", "--angle=1"], {"axis": [0, "x", 1], "angle": 1},
                  "malformed number in axis: 'x'", id="axis-number"),
-    pytest.param(None, {"gate": 5}, None, id="gate-int"),
-    pytest.param(None, {"gate": ["H"]}, None, id="gate-list"),
-    pytest.param(None, {"gate": None}, None, id="gate-null"),
+    pytest.param(None, {"gate": 5}, "gate needs a name, got 5", id="gate-int"),
+    pytest.param(None, {"gate": ["H"]}, "gate needs a name, got ['H']", id="gate-list"),
+    pytest.param(None, {"gate": {"a": 1}}, "gate needs a name, got {'a': 1}", id="gate-dict"),
+    pytest.param(None, {"gate": None}, "gate needs a name, got None", id="gate-null"),
     pytest.param(None, {"axis": [0, 0, 1]}, 'axis target needs "angle"', id="axis-no-angle"),
     pytest.param(None, {"axis": [0, 0, 1], "angle": "x"}, "malformed number in angle: 'x'", id="angle-number"),
     pytest.param(None, {"axis": [0, 0, 1], "angle": None}, "malformed number in angle: None", id="angle-null"),
@@ -674,7 +675,11 @@ TARGET_FORMS = [
     pytest.param(None, {"euler": [1, 2, 10**400]}, f"malformed number in euler: {10**400}",
                  id="euler-int-too-large"),
     pytest.param(None, 5, "unrecognized target spec: 5", id="target-int"),
-    pytest.param(None, {"matrix": [[10**400, 0], [0, 1]]}, None, id="matrix-int-too-large"),
+    pytest.param(None, {"matrix": [[10**400, 0], [0, 1]]}, f"malformed number in matrix: {10**400}",
+                 id="matrix-int-too-large"),
+    pytest.param(None, {"matrix": [1, 2]}, "matrix must be 2x2", id="matrix-flat"),
+    pytest.param(None, {"matrix": [[["a", 0], 0], [0, 1]]}, "malformed number in matrix: 'a'",
+                 id="matrix-pair-string"),
 ]
 
 

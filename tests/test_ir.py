@@ -13,13 +13,13 @@ from pulsegate import (
 )
 from pulsegate.ir import (
     ANGLE_EPS,
+    CompiledGate,
     VirtualZ,
     canonical_step,
     canonical_virtual_z,
     canonical_xy,
     distance,
     schedule_error,
-    schedule_unitary,
 )
 from pulsegate.su2 import rx, rz, xy_rotation
 
@@ -178,10 +178,16 @@ class TestAbsorbVirtualZ:
 
 class TestScheduleError:
     def test_matches_steps_with_trailing_virtual_z(self, rng):
-        for _ in range(100):
-            pulses, frame = absorb_virtual_z(random_canonical_sequence(rng))
-            steps = pulses + [VirtualZ(frame)]
-            assert np.array_equal(schedule_unitary(pulses, frame), sequence_unitary(steps))
+        # the frame left-multiplies the pulses' product; frame 0 and no pulses included
+        schedules = [absorb_virtual_z(random_canonical_sequence(rng)) for _ in range(100)]
+        schedules += [([], 0.0), ([], 1.3), ([XYPulse(0.4, 1.1)], 0.0)]
+        for pulses, frame in schedules:
+            u = rz(frame) @ sequence_unitary(pulses)
+            assert np.array_equal(sequence_unitary(pulses + [VirtualZ(frame)]), u)
+            gate = CompiledGate(tuple(pulses), frame, 0.0, distance(pulses), len(pulses), 0, 0.0)
+            assert np.array_equal(gate.unitary(), u)
+            target = sequence_unitary(random_canonical_sequence(rng))
+            assert schedule_error(target, pulses, frame) == max(1.0 - hs_fidelity(target, u), 0.0)
 
     def test_exact_schedule_reads_zero(self):
         assert schedule_error(rx(0.7), [XYPulse(0.0, 0.7)], 0.0) == 0.0

@@ -31,3 +31,46 @@ def test_iterations_are_linear_in_log_inverse_eps(cells, n_axes):
     fit = fit_log_model(DEFAULT_EPS_LIST, means)
     assert fit.slope > 0.0, (n_axes, fit)
     assert fit.r2 >= MIN_R2, (n_axes, fit)
+
+
+# The cost/effectiveness balance point. More allowed axes cost hardware
+# calibration; past some size they stop buying shorter schedules. Over the
+# ladder of 2^k + 2 axes, the balance point of a mean at one eps is the
+# smallest size from which on the mean stays within a stated fraction of
+# its value at 10**12 axes, a stand-in for the continuum of drive phases.
+# The means are deterministic, so these pins do not depend on machine speed.
+LADDER = tuple(2**k + 2 for k in range(2, 12))  # 6 .. 2050
+LIMIT_AXES = 10**12
+BALANCE_EPS = (1e-4, 1e-8, 1e-12)
+# pulses_mean is not monotone over the ladder (at 1e-8: 2.398 at 514 axes,
+# 2.414 at 1026), so only these plateaus are pinned
+DIST_BALANCE = {1e-4: 34, 1e-8: 34, 1e-12: 34}  # within 1%
+PULSES_BALANCE = {1e-4: 66, 1e-8: 130, 1e-12: 514}  # within 5%
+
+
+@pytest.fixture(scope="module")
+def ladder_rows():
+    rows = run_sweep([*LADDER, LIMIT_AXES], BALANCE_EPS)
+    assert all(r.failures == 0 for r in rows)
+    return {(r.n_axes, r.eps_target): r for r in rows}
+
+
+def balance_point(rows, eps, field, frac):
+    """Smallest ladder size from which on `field` is within `frac` of its 10**12-axis value."""
+    limit = getattr(rows[(LIMIT_AXES, eps)], field)
+    point = None
+    for n_axes in reversed(LADDER):
+        if abs(getattr(rows[(n_axes, eps)], field) / limit - 1.0) > frac:
+            break
+        point = n_axes
+    return point
+
+
+@pytest.mark.parametrize("eps", BALANCE_EPS)
+def test_distance_plateaus_from_34_axes(ladder_rows, eps):
+    assert balance_point(ladder_rows, eps, "dist_mean", 0.01) == DIST_BALANCE[eps]
+
+
+@pytest.mark.parametrize("eps", BALANCE_EPS)
+def test_pulse_balance_point_moves_with_precision(ladder_rows, eps):
+    assert balance_point(ladder_rows, eps, "pulses_mean", 0.05) == PULSES_BALANCE[eps]
