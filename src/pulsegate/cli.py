@@ -7,8 +7,8 @@ Subcommands:
 
 Exit codes: 0 ok, 1 operational failure, 2 usage error.
 
-Schedule files are JSON with fixed keys and floats printed to 17
-significant digits, so serialize -> parse -> serialize is byte-identical.
+Schedule files are JSON with fixed keys and shortest round-trip floats
+(`json.dumps`), so serialize -> parse -> serialize is byte-identical.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ NAMED_GATES = {
     "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
     "SX": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2,
 }
+for _u in NAMED_GATES.values():
+    _u.flags.writeable = False  # shared: each is handed out as GateSpec.unitary
 
 
 class GateSpecError(ValueError):
@@ -168,33 +170,13 @@ def gate_spec_from_json(description) -> GateSpec:
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON (17 significant digits, fixed key order, byte-stable)
-
-
-def _fmt_value(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, str):
-        return json.dumps(x)
-    if isinstance(x, (list, tuple)):
-        return "[" + ", ".join(_fmt_value(v) for v in x) + "]"
-    if isinstance(x, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_fmt_value(v)}" for k, v in x.items()) + "}"
-    raise TypeError(f"cannot serialize {type(x)}")
-
-
-def canonical_json(obj: dict) -> str:
-    return _fmt_value(obj) + "\n"
+# output formats
 
 
 def schedule_to_json(
     spec: GateSpec, n_axes: int, eps_target: float, gate: ir.CompiledGate
 ) -> str:
-    return canonical_json(
+    return json.dumps(
         {
             "target": spec.description,
             "n_axes": n_axes,
@@ -207,7 +189,7 @@ def schedule_to_json(
             "iterations": gate.iterations,
             "compile_time_s": gate.compile_time,
         }
-    )
+    ) + "\n"
 
 
 def schedule_to_text(gate: ir.CompiledGate) -> str:
@@ -267,13 +249,14 @@ def cmd_bench(args) -> int:
         lo, hi = (int(x) for x in args.eps_decades.split(":"))
     except ValueError as exc:
         raise GateSpecError(f"malformed bench arguments: {exc}") from exc
-    if not axes_list or lo < 1 or hi < lo:
-        raise GateSpecError("need a non-empty axes list and eps decades LO:HI with 1 <= LO <= HI")
-    eps_list = [10.0 ** (-k) for k in range(lo, hi + 1)]
+    if lo < 1 or hi < lo:
+        raise GateSpecError("need eps decades LO:HI with 1 <= LO <= HI")
+    # each decade is checked as it is made, so a huge HI stops at the floor
+    eps_list = [GreedyConfig(10.0 ** (-k)).eps_target for k in range(lo, hi + 1)]
     rows = bench.run_sweep(axes_list, eps_list)
     names = [f.name for f in fields(bench.SweepRow)]
     lines = [",".join(names)]
-    lines += [",".join(_fmt_value(getattr(r, name)) for name in names) for r in rows]
+    lines += [",".join(str(getattr(r, name)) for name in names) for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -177,7 +177,7 @@ def absorb_virtual_z(steps: PulseSequence) -> tuple[list[XYPulse], float]:
 
 def distance(steps: Iterable[PulseStep]) -> float:
     """Total physical rotation distance; virtual-Z steps are free."""
-    return sum(s.angle for s in steps if isinstance(s, XYPulse))
+    return sum((s.angle for s in steps if isinstance(s, XYPulse)), 0.0)
 
 
 def pulse_count(steps: Iterable[PulseStep]) -> int:

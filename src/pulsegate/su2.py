@@ -24,6 +24,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 IDENTITY = np.eye(2, dtype=complex)
+IDENTITY.flags.writeable = False  # shared: sequence_unitary([]) returns it
 
 
 class InvalidAxisError(ValueError):

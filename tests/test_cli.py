@@ -7,6 +7,7 @@ import re
 import shlex
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsegate import cli, hs_fidelity, sequence_unitary
-from pulsegate.cli import NAMED_GATES, build_parser, canonical_json, main
+from pulsegate import cli, greedy, hs_fidelity, sequence_unitary
+from pulsegate.cli import NAMED_GATES, build_parser, main
 from pulsegate.greedy import MAX_AXES
-from pulsegate.ir import VirtualZ, XYPulse
-from pulsegate.su2 import rx
+from pulsegate.ir import CompiledGate, VirtualZ, XYPulse
+from pulsegate.su2 import is_unitary, rx
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
@@ -121,6 +122,14 @@ class TestGateSpecs:
         assert code == 2
         assert "unitary" in err
 
+    def test_named_gate_unitary_cannot_be_written(self):
+        # the spec hands out the shared NAMED_GATES array itself
+        spec = cli.gate_spec_from_json({"gate": "H"})
+        with pytest.raises(ValueError, match="read-only"):
+            spec.unitary[0, 0] = 5
+        assert is_unitary(NAMED_GATES["H"])
+        assert _outcome(["compile", "--gate", "H"])[0] == 0
+
     def test_unknown_gate_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--gate", "Q")
         assert code == 2
@@ -202,18 +211,30 @@ class TestVerify:
 
 
 class TestSerialization:
+    FLOAT_KEYS = ("eps_target", "frame_phase_rad", "epsilon", "distance_rad", "compile_time_s")
+
     def test_byte_identical_round_trip(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "compile", "--gate", "H")
         assert code == 0
-        reparsed = canonical_json(json.loads(out))
-        assert reparsed == out
+        assert json.dumps(json.loads(out)) + "\n" == out
 
     def test_17_digit_floats_survive(self):
-        doc = {"x": 1.0 / 3.0, "y": [math.pi, 1e-300]}
-        text = canonical_json(doc)
-        again = json.loads(text)
-        assert again["x"] == 1.0 / 3.0
-        assert again["y"] == [math.pi, 1e-300]
+        x = (1.0 / 3.0, math.pi, 1e-300, 5e-324, 0.1 + 0.2)
+        spec = cli.gate_spec_from_json({"euler": list(x[:3])})
+        pulses = tuple(XYPulse(v, v) for v in x)
+        gate = CompiledGate(pulses, x[3], x[2], x[1], len(pulses), 3, x[4])
+        doc = json.loads(cli.schedule_to_json(spec, 6, x[0], gate))
+        assert doc["target"]["euler"] == list(x[:3])
+        assert doc["pulses"] == [{"phase_rad": v, "angle_rad": v} for v in x]
+        assert [doc[key] for key in self.FLOAT_KEYS] == [x[0], x[3], x[2], x[1], x[4]]
+
+    def test_zeros_parse_back_as_floats(self, capsys):
+        code, out, _ = run_cli(capsys, "compile", "--gate", "I")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pulses"] == []
+        for key in self.FLOAT_KEYS:
+            assert isinstance(doc[key], float), key
 
 
 class TestUsageErrors:
@@ -314,19 +335,33 @@ class TestUsageErrors:
             code, _, err = run_cli(capsys, "bench", "--axes-list", n, "--eps-decades", "1:1")
             assert code == 2 and err == f"error: n_axes must be >= 5, got {n}\n"
 
+    def test_compile_failure_is_one_line(self, monkeypatch):
+        monkeypatch.setattr(greedy, "MAX_ITERS", 1)
+        code, out, err = _outcome(["compile", "--gate", "H", "--axes", "6", "--epsilon", "1e-8"])
+        assert code == 1 and out == ""
+        assert err == "error: compilation failed: no convergence within 1 iterations (best error 0.5, 1 steps)\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["compile", "--gate", "H", "--epsilon", "1e-25"],
             ["compile", "--gate", "H", "--epsilon", "1e-25", "--baseline"],
             ["bench", "--axes-list", "6", "--eps-decades", "1:25"],
+            ["bench", "--axes-list", "6", "--eps-decades", "1:1000000"],
         ],
-        ids=["compile", "compile-baseline", "bench"],
+        ids=["compile", "compile-baseline", "bench", "bench-million-decades"],
     )
     def test_eps_below_floor_is_usage_error(self, argv):
-        code, out, err = _outcome(argv)
+        # bench refuses each decade as it is made, before a list of a million exists
+        tracemalloc.start()
+        try:
+            code, out, err = _outcome(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2 and out == ""
         assert err == "error: eps_target must be in [1e-24, 1)\n"
+        assert peak < 1 << 20
 
 
 class TestParserReuse:
@@ -463,7 +498,8 @@ _BENCH_OPTIONS = {
         min_size=1,
         max_size=2,
     ).map(",".join),
-    "--eps-decades": st.sampled_from(["1:1", "1:2", "2:3", "3:3"]) | st.sampled_from(["2:1", "0:1", "1", "a:b", "1:2:3", "", "1:400"]),
+    "--eps-decades": st.sampled_from(["1:1", "1:2", "2:3", "3:3"])
+    | st.sampled_from(["2:1", "0:1", "1", "a:b", "1:2:3", "", "1:400", "1:100000000000"]),
 }
 
 

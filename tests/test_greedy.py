@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from pulsegate import (
     rotation_unitary,
 )
 from pulsegate import greedy, ir
-from pulsegate.greedy import EPS_FLOOR, MAX_AXES, InvalidConfigurationError, best_axis_step
+from pulsegate.greedy import (
+    EPS_FLOOR,
+    MAX_AXES,
+    InvalidConfigurationError,
+    MaxItersError,
+    NoProgressError,
+    best_axis_step,
+)
 from pulsegate.su2 import quaternion, rx, rz, xy_rotation
 
 from conftest import random_unitary
@@ -614,10 +622,22 @@ class TestGreedyCompile:
         assert report.post_pass_pulse_count == gate.pulse_count
 
     def test_nan_target_fails_loudly(self):
+        # no axis lowers a NaN error, so the trial angle halves down to the damping floor
         target = np.full((2, 2), math.nan, dtype=complex)
-        with pytest.raises(CompileError) as info:
-            greedy_compile(target, allowed_axes(6), GreedyConfig(1e-4))
-        assert math.isnan(info.value.error)
+        for n_axes in (6, 18, 16386):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NoProgressError) as info:
+                    greedy_compile(target, allowed_axes(n_axes), GreedyConfig(1e-4))
+            assert info.value.steps == [] and math.isnan(info.value.error), n_axes
+
+    def test_iteration_budget_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(greedy, "MAX_ITERS", 1)
+        t_sx = rz(math.pi / 4) @ rx(math.pi / 2)
+        with pytest.raises(MaxItersError) as info:
+            greedy_compile(t_sx, allowed_axes(6), GreedyConfig(1e-8))
+        assert len(info.value.steps) == 1
+        assert info.value.error == pytest.approx(0.151, abs=5e-4)
 
     def test_huge_axis_count_compiles(self):
         gate, _ = greedy_compile(rx(1.0), allowed_axes(99_999_999_999), GreedyConfig(1e-10))

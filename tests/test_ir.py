@@ -75,6 +75,13 @@ class TestSequenceUnitary:
     def test_empty_is_identity(self):
         assert np.allclose(sequence_unitary([]), np.eye(2))
 
+    def test_empty_unitary_cannot_be_written(self):
+        # the identity it returns is shared; writing to it would change every empty schedule
+        u = sequence_unitary([])
+        with pytest.raises(ValueError, match="read-only"):
+            u *= 2
+        assert np.array_equal(sequence_unitary([]), np.eye(2))
+
     def test_coaxial_pulses_add(self):
         u = sequence_unitary([XYPulse(0.0, math.pi / 2), XYPulse(0.0, math.pi / 2)])
         assert np.allclose(u, rx(math.pi), atol=1e-14)
@@ -210,7 +217,7 @@ class TestCostMetrics:
         assert pulse_count(seq) == 2
 
     def test_empty(self):
-        assert distance([]) == 0.0
+        assert distance([]) == 0.0 and isinstance(distance([]), float)
         assert pulse_count([]) == 0
 
     def test_virtual_z_is_free(self):
