@@ -28,7 +28,6 @@ absorb the virtual-Zs into pulse phases.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from . import ir
@@ -188,7 +187,6 @@ def greedy_compile(
     The finishing passes (merge, absorb, merge) are exact, and the final
     gate is re-verified against the target.
     """
-    t_start = time.perf_counter()
     (t00, t01), (t10, t11) = target.tolist()
     state = quaternion(((t00.conjugate(), t10.conjugate()), (t01.conjugate(), t11.conjugate())))
     error = state[1] ** 2 + state[2] ** 2 + state[3] ** 2
@@ -218,7 +216,7 @@ def greedy_compile(
 
     pulses, frame_phase = ir.absorb_virtual_z(ir.merge_adjacent(steps))
     gate, report = ir.finish(
-        target, steps, ir.merge_adjacent(pulses), frame_phase, iterations, damped, t_start
+        target, steps, ir.merge_adjacent(pulses), frame_phase, iterations, damped
     )
     if not gate.epsilon <= config.eps_target + ir.ERROR_SLACK:
         raise CompileError(

@@ -14,13 +14,13 @@ only physical pulse angles, pulse_count counts only physical pulses.
 
 Every compiler ends in `finish`, which evaluates the finished schedule
 with `schedule_error` and packages it as a CompiledGate plus its
-CompileReport.
+CompileReport. Neither holds a wall-clock time, so a compile is a pure
+function of its input; callers that report timing measure the call.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -106,48 +106,34 @@ def sequence_unitary(steps: PulseSequence) -> np.ndarray:
     return u
 
 
-def _phase_delta(a: float, b: float) -> float:
-    """Circular distance |a - b| folded into [0, pi]."""
-    d = mod_2pi(a - b)
-    return min(d, 2.0 * math.pi - d)
-
-
-def _try_merge(a: PulseStep, b: PulseStep) -> Optional[Optional[PulseStep]]:
-    """Merge rule for the adjacent pair (a then b), both canonical.
-
-    Returns the merged canonical step, None when the pair cancels to a
-    global phase, or the sentinel `_NO_RULE` when no rule applies.
-    """
-    if isinstance(a, VirtualZ) and isinstance(b, VirtualZ):
-        return canonical_virtual_z(a.alpha + b.alpha)
-    if isinstance(a, XYPulse) and isinstance(b, XYPulse):
-        delta = _phase_delta(a.phase, b.phase)
-        if delta < PHASE_EPS:
-            return canonical_xy(a.phase, a.angle + b.angle)
-        if abs(delta - math.pi) < PHASE_EPS:
-            return canonical_xy(a.phase, a.angle - b.angle)
-    return _NO_RULE
-
-
-_NO_RULE = object()
-
-
 def merge_adjacent(steps: PulseSequence) -> list[PulseStep]:
     """Fold adjacent same-line rotations to a fixpoint.
 
     Coaxial pulses add angles, antipodal-phase pulses subtract, virtual-Z
-    angles add; trivial results are deleted. Unitary is preserved up to
-    global phase and the step count never increases.
+    angles add; trivial results are deleted. Two pulse phases are on one
+    line when their circular distance, folded into [0, pi], is within
+    PHASE_EPS of 0 or of pi. Unitary is preserved up to global phase and
+    the step count never increases.
     """
     out: list[PulseStep] = []
     for raw in steps:
         step = canonical_step(raw)
         while step is not None and out:
-            merged = _try_merge(out[-1], step)
-            if merged is _NO_RULE:
+            last = out[-1]
+            if type(last) is not type(step):
                 break
+            if isinstance(step, VirtualZ):
+                step = canonical_virtual_z(last.alpha + step.alpha)
+            else:
+                d = mod_2pi(last.phase - step.phase)
+                delta = min(d, 2.0 * math.pi - d)
+                if delta < PHASE_EPS:
+                    step = canonical_xy(last.phase, last.angle + step.angle)
+                elif abs(delta - math.pi) < PHASE_EPS:
+                    step = canonical_xy(last.phase, last.angle - step.angle)
+                else:
+                    break
             out.pop()
-            step = merged
         if step is not None:
             out.append(step)
     return out
@@ -195,7 +181,6 @@ class CompiledGate:
     distance: float
     pulse_count: int
     iterations: int
-    compile_time: float
 
     def unitary(self) -> np.ndarray:
         """Evaluate pulses followed by the trailing frame shift."""
@@ -228,13 +213,11 @@ def finish(
     frame_phase: float,
     iterations: int,
     damped_steps: int,
-    t_start: float,
 ) -> tuple[CompiledGate, CompileReport]:
     """Evaluate a finished schedule and package it with its report.
 
     `steps` is the schedule before the finishing passes, `pulses` and
-    `frame_phase` what they left; `t_start` is the compile's
-    time.perf_counter() start.
+    `frame_phase` what they left.
     """
     epsilon = schedule_error(target, pulses, frame_phase)
     gate = CompiledGate(
@@ -244,7 +227,6 @@ def finish(
         distance=distance(pulses),
         pulse_count=len(pulses),
         iterations=iterations,
-        compile_time=time.perf_counter() - t_start,
     )
     report = CompileReport(
         iterations=iterations,

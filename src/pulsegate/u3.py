@@ -16,7 +16,6 @@ euler_matrix(theta, phi, lam) is, in time order:
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -48,8 +47,7 @@ def u3_compile(target: np.ndarray) -> tuple[ir.CompiledGate, ir.CompileReport]:
     stay distinct even when the interior z rotation vanishes (theta = pi),
     because the baseline's cost is fixed by construction.
     """
-    t_start = time.perf_counter()
     e = euler_zxz(target)
     seq = u3_sequence(e.theta, e.phi, e.lam)
     pulses, frame_phase = ir.absorb_virtual_z(seq)
-    return ir.finish(target, seq, pulses, frame_phase, 0, 0, t_start)
+    return ir.finish(target, seq, pulses, frame_phase, 0, 0)

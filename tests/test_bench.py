@@ -54,6 +54,11 @@ class TestRunSweep:
             b.eps_mean, b.dist_mean, b.pulses_mean, b.failures
         )
 
+    def test_time_mean_is_measured(self):
+        # compiles carry no time; run_sweep measures each call itself
+        (row,) = run_sweep([6], [1e-1])
+        assert math.isfinite(row.time_mean_s) and row.time_mean_s > 0.0
+
     def test_keep_gates(self):
         rows, gates = run_sweep([6], [1e-2], keep_gates=True)
         assert set(gates) == {(6, 1e-2)}

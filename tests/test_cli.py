@@ -222,8 +222,8 @@ class TestSerialization:
         x = (1.0 / 3.0, math.pi, 1e-300, 5e-324, 0.1 + 0.2)
         spec = cli.gate_spec_from_json({"euler": list(x[:3])})
         pulses = tuple(XYPulse(v, v) for v in x)
-        gate = CompiledGate(pulses, x[3], x[2], x[1], len(pulses), 3, x[4])
-        doc = json.loads(cli.schedule_to_json(spec, 6, x[0], gate))
+        gate = CompiledGate(pulses, x[3], x[2], x[1], len(pulses), 3)
+        doc = json.loads(cli.schedule_to_json(spec, 6, x[0], gate, x[4]))
         assert doc["target"]["euler"] == list(x[:3])
         assert doc["pulses"] == [{"phase_rad": v, "angle_rad": v} for v in x]
         assert [doc[key] for key in self.FLOAT_KEYS] == [x[0], x[3], x[2], x[1], x[4]]
@@ -699,6 +699,13 @@ TARGET_FORMS = [
                  id="euler-number"),
     pytest.param(["--axis=0,x,1", "--angle=1"], {"axis": [0, "x", 1], "angle": 1},
                  "malformed number in axis: 'x'", id="axis-number"),
+    pytest.param(["--euler=inf,0,0"], {"euler": [math.inf, 0, 0]}, "euler entries must be finite",
+                 id="euler-inf"),
+    pytest.param(["--axis=0,0,1", "--angle=inf"], {"axis": [0, 0, 1], "angle": math.inf},
+                 "angle entries must be finite", id="angle-inf"),
+    # finite angles, but lam + phi overflows to inf and the unitary reads NaN
+    pytest.param(["--euler=0,1e308,1e308"], {"euler": [0, 1e308, 1e308]},
+                 "target unitary is not finite", id="euler-sum-overflows"),
     pytest.param(None, {"gate": 5}, "gate needs a name, got 5", id="gate-int"),
     pytest.param(None, {"gate": ["H"]}, "gate needs a name, got ['H']", id="gate-list"),
     pytest.param(None, {"gate": {"a": 1}}, "gate needs a name, got {'a': 1}", id="gate-dict"),

@@ -107,6 +107,9 @@ class TestMergeAdjacent:
     def test_equal_phase_pulses_merge(self):
         out = merge_adjacent([XYPulse(0.0, math.pi / 4), XYPulse(0.0, math.pi / 4)])
         assert out == [XYPulse(0.0, math.pi / 2)]
+        # circular distance 2e-13 across 0/2 pi, not the raw difference 2 pi - 2e-13
+        out = merge_adjacent([XYPulse(1e-13, 0.5), XYPulse(2 * math.pi - 1e-13, 0.25)])
+        assert out == [XYPulse(1e-13, 0.75)]
 
     def test_virtual_z_merge(self):
         out = merge_adjacent([VirtualZ(0.3), VirtualZ(0.4)])
@@ -120,10 +123,19 @@ class TestMergeAdjacent:
         assert merge_adjacent(seq) == seq
 
     def test_antipodal_phases_subtract(self):
-        out = merge_adjacent([XYPulse(0.0, 1.0), XYPulse(math.pi, 0.4)])
-        assert len(out) == 1
-        assert out[0].angle == pytest.approx(0.6)
-        assert out[0].phase == pytest.approx(0.0)
+        # the last three pairs are antipodal across the 0/2 pi boundary
+        pairs = [
+            (0.0, math.pi),
+            (1e-13, math.pi - 1e-13),
+            (2 * math.pi - 1e-13, math.pi + 1e-13),
+            (0.1, math.pi + 0.1),
+        ]
+        for phase_a, phase_b in pairs:
+            seq = [XYPulse(phase_a, 1.0), XYPulse(phase_b, 0.4)]
+            out = merge_adjacent(seq)
+            assert len(out) == 1
+            assert out[0].phase == phase_a and out[0].angle == pytest.approx(0.6)
+            assert phase_equal(sequence_unitary(out), sequence_unitary(seq))
 
     def test_cascading_cancellation(self):
         seq = [VirtualZ(0.5), XYPulse(1.0, 0.7), XYPulse(1.0 + math.pi, 0.7), VirtualZ(-0.5)]
@@ -191,7 +203,7 @@ class TestScheduleError:
         for pulses, frame in schedules:
             u = rz(frame) @ sequence_unitary(pulses)
             assert np.array_equal(sequence_unitary(pulses + [VirtualZ(frame)]), u)
-            gate = CompiledGate(tuple(pulses), frame, 0.0, distance(pulses), len(pulses), 0, 0.0)
+            gate = CompiledGate(tuple(pulses), frame, 0.0, distance(pulses), len(pulses), 0)
             assert np.array_equal(gate.unitary(), u)
             target = sequence_unitary(random_canonical_sequence(rng))
             assert schedule_error(target, pulses, frame) == max(1.0 - hs_fidelity(target, u), 0.0)

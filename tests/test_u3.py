@@ -65,6 +65,11 @@ class TestU3Compile:
         h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         self.check(h)
 
+    def test_deterministic(self, rng):
+        # a compile is a value: gate and report compare equal, field for field
+        for target in [np.eye(2, dtype=complex), *(random_unitary(rng) for _ in range(20))]:
+            assert u3_compile(target) == u3_compile(target)
+
     def test_identity_still_costs_two_pulses(self):
         self.check(np.eye(2, dtype=complex))
 
