@@ -222,12 +222,13 @@ def _add_gate_spec_flags(p: argparse.ArgumentParser) -> None:
 def cmd_compile(args) -> int:
     spec = resolve_gate_spec(args)
     config = GreedyConfig(eps_target=args.epsilon)  # validates --epsilon for --baseline too
-    t_start = time.perf_counter()
     if args.baseline:
+        t_start = time.perf_counter()
         gate, _ = u3_compile(spec.unitary)
         n_axes = 0
     else:
         axes = allowed_axes(args.axes)
+        t_start = time.perf_counter()
         try:
             gate, _ = greedy_compile(spec.unitary, axes, config)
         except CompileError as exc:

@@ -181,6 +181,10 @@ class CompiledGate:
     distance: float
     pulse_count: int
     iterations: int
+    # Always 0.0: compiles hold no clock, and callers that report timing
+    # measure the call. Kept only because perfbench's evaluator test still
+    # builds a CompiledGate with a trailing time; goes with ROADMAP item 1.
+    compile_time: float = 0.0
 
     def unitary(self) -> np.ndarray:
         """Evaluate pulses followed by the trailing frame shift."""

@@ -46,6 +46,8 @@ class TestRunSweep:
             assert r.failures == 0
             assert r.eps_mean <= r.eps_target
             assert r.dist_mean >= 0.0 and r.pulses_mean >= 0.0
+            # compiles carry no time; run_sweep measures each call itself
+            assert math.isfinite(r.time_mean_s) and r.time_mean_s > 0.0
 
     def test_deterministic_metrics(self):
         a = run_sweep([10], [1e-3])[0]
@@ -53,11 +55,6 @@ class TestRunSweep:
         assert (a.eps_mean, a.dist_mean, a.pulses_mean, a.failures) == (
             b.eps_mean, b.dist_mean, b.pulses_mean, b.failures
         )
-
-    def test_time_mean_is_measured(self):
-        # compiles carry no time; run_sweep measures each call itself
-        (row,) = run_sweep([6], [1e-1])
-        assert math.isfinite(row.time_mean_s) and row.time_mean_s > 0.0
 
     def test_keep_gates(self):
         rows, gates = run_sweep([6], [1e-2], keep_gates=True)
