@@ -5,7 +5,8 @@ Subcommands:
     bench    -- run the (n_axes, eps_target) sweep over the 128-gate dataset
     verify   -- independently re-evaluate a schedule file against a target
 
-Exit codes: 0 ok, 1 operational failure, 2 usage error.
+Exit codes: 0 ok, 1 operational failure, 2 usage error; commands raise,
+and `main` alone prints the `error:` line and picks the status.
 
 Schedule files are JSON with fixed keys and shortest round-trip floats
 (`json.dumps`), so serialize -> parse -> serialize is byte-identical.
@@ -44,6 +45,21 @@ for _u in NAMED_GATES.values():
 
 class GateSpecError(ValueError):
     """Unresolvable gate specification (usage error)."""
+
+
+class CommandError(Exception):
+    """An operational failure: `main` prints it as one `error:` line and returns 1."""
+
+
+def _read_json(error: type[Exception], what: str, *, path: str | None = None, text: str | None = None):
+    """The JSON in the UTF-8 file at `path`, or in `text`; any failure raises `error`."""
+    try:
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -93,14 +109,10 @@ def resolve_gate_spec(args) -> GateSpec:
         if args.angle is None:
             raise GateSpecError("--axis requires --angle")
         description = {"axis": value.split(","), "angle": args.angle}
+    elif name == "matrix":
+        description = {"matrix": _read_json(GateSpecError, "matrix", text=value)}
     else:
-        try:
-            if name == "matrix_file":
-                with open(value) as fh:
-                    value = fh.read()
-            description = {"matrix": json.loads(value)}
-        except (OSError, json.JSONDecodeError) as exc:
-            raise GateSpecError(f"cannot read matrix: {exc}") from exc
+        description = {"matrix": _read_json(GateSpecError, "matrix", path=value)}
     return gate_spec_from_json(description)
 
 
@@ -222,24 +234,15 @@ def _add_gate_spec_flags(p: argparse.ArgumentParser) -> None:
 def cmd_compile(args) -> int:
     spec = resolve_gate_spec(args)
     config = GreedyConfig(eps_target=args.epsilon)  # validates --epsilon for --baseline too
-    if args.baseline:
-        t_start = time.perf_counter()
-        gate, _ = u3_compile(spec.unitary)
-        n_axes = 0
-    else:
-        axes = allowed_axes(args.axes)
-        t_start = time.perf_counter()
-        try:
-            gate, _ = greedy_compile(spec.unitary, axes, config)
-        except CompileError as exc:
-            print(
-                f"error: compilation failed: {exc} "
-                f"(best error {exc.error:.12g}, {len(exc.steps)} steps)",
-                file=sys.stderr,
-            )
-            return 1
-        n_axes = args.axes
+    axes = None if args.baseline else allowed_axes(args.axes)
+    t_start = time.perf_counter()
+    try:
+        gate, _ = u3_compile(spec.unitary) if axes is None else greedy_compile(spec.unitary, axes, config)
+    except CompileError as exc:
+        steps = len(exc.steps)
+        raise CommandError(f"compilation failed: {exc} (best error {exc.error:.12g}, {steps} steps)") from exc
     seconds = time.perf_counter() - t_start
+    n_axes = 0 if axes is None else args.axes
     if args.format == "json":
         sys.stdout.write(schedule_to_json(spec, n_axes, args.epsilon, gate, seconds))
     else:
@@ -267,20 +270,14 @@ def cmd_bench(args) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
+            raise CommandError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.schedule) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read schedule: {exc}", file=sys.stderr)
-        return 1
+    doc = _read_json(CommandError, "schedule", path=args.schedule)
     given = any(getattr(args, name) is not None for name in TARGET_FLAGS)
     try:
         pulses = [ir.XYPulse(float(p["phase_rad"]), float(p["angle_rad"])) for p in doc["pulses"]]
@@ -293,8 +290,7 @@ def cmd_verify(args) -> int:
             raise ValueError("epsilon and eps_target must be finite")
         target = None if given else doc["target"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        print(f"error: malformed schedule: {exc!r}", file=sys.stderr)
-        return 1
+        raise CommandError(f"malformed schedule: {exc!r}") from exc
     spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)
     eps = ir.schedule_error(spec.unitary, pulses, frame)
     ok = eps <= min(declared, eps_target) + ir.ERROR_SLACK
@@ -303,13 +299,13 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one `error: <message>` line and exits 2.
+    """Raises a usage error as `argparse.ArgumentError` for `main` to report, instead of exiting.
 
     Subparsers are built with the parent's class, so they inherit this.
     """
 
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+        raise argparse.ArgumentError(None, message)
 
 
 @functools.cache
@@ -345,15 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; return 0, 1 or 2. Only `-h` raises (SystemExit(0))."""
     # looked up per call, not stored in the parser, so rebinding a command
     # function (a test double or a tracing wrapper) takes effect
     commands = {"compile": cmd_compile, "bench": cmd_bench, "verify": cmd_verify}
     try:
+        args = build_parser().parse_args(argv)
         return commands[args.command](args)
-    except (GateSpecError, InvalidConfigurationError) as exc:
+    except (CommandError, argparse.ArgumentError, GateSpecError, InvalidConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CommandError) else 2
 
 
 if __name__ == "__main__":

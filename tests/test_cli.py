@@ -24,6 +24,9 @@ from pulsegate.su2 import is_unitary, rx
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+# JSON inputs that cannot be read: bytes that are not UTF-8, and nesting too deep to parse
+NOT_UTF8 = b"\xff\xfe[[1,0],[0,1]]"
+DEEP = "[" * 100000 + "]" * 100000
 
 
 def run_cli(capsys, *argv):
@@ -64,15 +67,12 @@ def golden_cases() -> list[list[str]]:
 def _outcome(argv: list[str]) -> tuple[object, str, str]:
     """Exit status, stdout and stderr of one in-process call.
 
-    The status is `main`'s return value, or the code of a SystemExit it
-    raised (argparse exits on a usage error).
+    The status is `main`'s return value: `main` reports every failure
+    itself, argparse's usage errors included, and raises only for `-h`.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -261,10 +261,31 @@ class TestUsageErrors:
         ],
         ids=["unknown-flag", "no-subcommand", "axis-space-form", "epsilon-abc", "format-xml"],
     )
-    def test_argparse_error_is_one_line(self, argv):
-        code, out, err = _outcome(argv)
+    def test_argparse_error_is_one_line(self, capsys, argv):
+        # returned, not raised as SystemExit, so an in-process caller gets the status
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pulsegate compile")
+
+    @pytest.mark.parametrize(
+        "content", [NOT_UTF8, DEEP.encode(), None], ids=["file-not-utf8", "file-deep", "inline-deep"]
+    )
+    def test_unreadable_matrix_is_usage_error(self, capsys, tmp_path, content):
+        if content is None:
+            flag = f"--matrix={DEEP}"
+        else:
+            path = tmp_path / "m.json"
+            path.write_bytes(content)
+            flag = f"--matrix-file={path}"
+        code, out, err = run_cli(capsys, "compile", flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read matrix:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("entry", ["Infinity", "NaN", "[1, NaN]"])
     def test_non_finite_matrix_is_one_line_without_warning(self, entry):
@@ -465,7 +486,7 @@ _matrix = st.one_of(
         max_size=2,
     ).map(json.dumps),
     st.recursive(_json_scalar, lambda inner: st.lists(inner, max_size=3), max_leaves=6).map(json.dumps),
-    st.sampled_from(["[[0,1],[1,0]]", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]", "[[1,0],[0", ""]),
+    st.sampled_from(["[[0,1],[1,0]]", "[[[0.6,0],[0,0.8]],[[0,0.8],[0.6,0]]]", "[[1,0],[0", "", DEEP]),
 )
 _TARGETS = {
     "--gate": st.sampled_from(list(NAMED_GATES) + ["h", "sx", "Q", "", "CNOT"]),
@@ -537,6 +558,8 @@ class TestCliProperty:
         (root / "garbage.json").write_text("{not json")
         (root / "matrix.json").write_text("[[0,1],[1,0]]")
         (root / "nan-matrix.json").write_text("[[NaN,0],[0,1]]")
+        (root / "not-utf8.json").write_bytes(NOT_UTF8)
+        (root / "deep.json").write_text(DEEP)
         return {p.name: str(p) for p in root.iterdir()} | {"absent.json": str(root / "absent.json")}
 
     @pytest.fixture(scope="class")
@@ -682,6 +705,14 @@ class TestVerifyRobustness:
         code, _, err = self.verify(capsys, tmp_path, doc)
         assert code == 1
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [NOT_UTF8, DEEP.encode()], ids=["not-utf8", "deep"])
+    def test_unreadable_schedule(self, capsys, tmp_path, content):
+        path = tmp_path / "schedule.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "verify", "--schedule", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read schedule:") and err.count("\n") == 1
 
 
 # The same target as flags and as a schedule file's description, and the
