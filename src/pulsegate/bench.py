@@ -14,13 +14,14 @@ import gc
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .greedy import CompileError, GreedyConfig, allowed_axes, greedy_compile
 from .ir import CompiledGate
 from .su2 import rx, rz
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_AXES_LIST = (6, 10, 18, 34)
 DEFAULT_EPS_LIST = tuple(10.0 ** (-k) for k in range(1, 9))
@@ -151,6 +152,7 @@ def fit_log_model(eps_targets: Sequence[float], ys: Sequence[float]) -> FitResul
         raise InsufficientDataError("need at least 3 matched (eps, y) points")
     if any(not 0.0 < e < 1.0 for e in eps_targets):
         raise ValueError("eps_targets must lie in (0, 1)")
+    import numpy as np
     x = np.log10(1.0 / np.asarray(eps_targets, dtype=float))
     y = np.asarray(ys, dtype=float)
     ss_tot = float(np.sum((y - y.mean()) ** 2))

@@ -15,32 +15,42 @@ Schedule files are JSON with fixed keys and shortest round-trip floats
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import bench, ir
 from .greedy import CompileError, GreedyConfig, InvalidConfigurationError, allowed_axes, greedy_compile
 from .su2 import euler_matrix, is_unitary, rotation_unitary
 from .u3 import u3_compile
 
+if TYPE_CHECKING:
+    import numpy as np
+
+_INV_SQRT2 = 1 / math.sqrt(2)
+# entries are Python complex; gate_spec_from_json hands each out as a read-only array
 NAMED_GATES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    "SX": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2,
+    "I": ((1 + 0j, 0j), (0j, 1 + 0j)),
+    "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
+    "Y": ((0j, -1j), (1j, 0j)),
+    "Z": ((1 + 0j, 0j), (0j, -1 + 0j)),
+    "H": ((_INV_SQRT2 + 0j, _INV_SQRT2 + 0j), (_INV_SQRT2 + 0j, -_INV_SQRT2 + 0j)),
+    "S": ((1 + 0j, 0j), (0j, 1j)),
+    "T": ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4))),
+    "SX": ((0.5 + 0.5j, 0.5 - 0.5j), (0.5 - 0.5j, 0.5 + 0.5j)),
 }
-for _u in NAMED_GATES.values():
-    _u.flags.writeable = False  # shared: each is handed out as GateSpec.unitary
+
+# Shows an outside value, or an exception quoting one, in an error line of under
+# 200 characters: a few items, no nesting, long strings and numbers cut in the middle.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxdict, _ECHO.maxlist = 1, 3, 4
+_ECHO.maxstring, _ECHO.maxlong, _ECHO.maxother = 20, 20, 100
 
 
 class GateSpecError(ValueError):
@@ -64,13 +74,13 @@ def _read_json(error: type[Exception], what: str, *, path: str | None = None, te
 
 @dataclass(frozen=True)
 class GateSpec:
-    """A resolved target gate plus its normalized JSON description."""
+    """A resolved target gate, as a read-only array, plus its normalized JSON description."""
 
     description: dict
     unitary: np.ndarray
 
 
-def _matrix_from_json(data) -> np.ndarray:
+def _matrix_from_json(data) -> tuple[tuple[complex, ...], ...]:
     """Accept [[a, b], [c, d]] with entries as numbers or [re, im] pairs."""
 
     def pair(x) -> bool:
@@ -81,11 +91,11 @@ def _matrix_from_json(data) -> np.ndarray:
             return complex(_number(x, "matrix"))
         if pair(x):
             return complex(_number(x[0], "matrix"), _number(x[1], "matrix"))
-        raise GateSpecError(f"matrix entry must be a number or [re, im] pair: {x!r}")
+        raise GateSpecError(f"matrix entry must be a number or [re, im] pair: {_ECHO.repr(x)}")
 
     if not (pair(data) and all(map(pair, data))):
         raise GateSpecError("matrix must be 2x2")
-    return np.array([[entry(x) for x in row] for row in data])
+    return tuple(tuple(entry(x) for x in row) for row in data)
 
 
 # argparse dest names of the flags that describe a target, in flag order
@@ -120,7 +130,7 @@ def _numbers(description: dict, key: str, count: int) -> list[float]:
     """The `count` numbers a description holds under `key`; errors name the key and the count."""
     values = description[key]
     if not isinstance(values, list):
-        raise GateSpecError(f"{key} needs a list of {count} numbers, got {values!r}")
+        raise GateSpecError(f"{key} needs a list of {count} numbers, got {_ECHO.repr(values)}")
     if len(values) != count:
         raise GateSpecError(f"{key} needs {count} numbers, got {len(values)}")
     return [_number(x, key) for x in values]
@@ -131,7 +141,7 @@ def _number(x, key: str) -> float:
     try:
         value = float(x)
     except (TypeError, ValueError, OverflowError):
-        raise GateSpecError(f"malformed number in {key}: {x!r}") from None
+        raise GateSpecError(f"malformed number in {key}: {_ECHO.repr(x)}") from None
     if not math.isfinite(value):
         raise GateSpecError(f"{key} entries must be finite")
     return value
@@ -147,15 +157,15 @@ def gate_spec_from_json(description) -> GateSpec:
     names upper-cased and matrix entries as [re, im] pairs.
     """
     if not isinstance(description, dict):
-        raise GateSpecError(f"unrecognized target spec: {description!r}")
+        raise GateSpecError(f"unrecognized target spec: {_ECHO.repr(description)}")
     try:
         if "gate" in description:
             name = description["gate"]
             if not isinstance(name, str):
-                raise GateSpecError(f"gate needs a name, got {name!r}")
+                raise GateSpecError(f"gate needs a name, got {_ECHO.repr(name)}")
             name = name.upper()
             if name not in NAMED_GATES:
-                raise GateSpecError(f"unknown gate {name!r}; known: {', '.join(NAMED_GATES)}")
+                raise GateSpecError(f"unknown gate {_ECHO.repr(name)}; known: {', '.join(NAMED_GATES)}")
             description, u = {"gate": name}, NAMED_GATES[name]
         elif "euler" in description:
             euler = _numbers(description, "euler", 3)
@@ -172,13 +182,16 @@ def gate_spec_from_json(description) -> GateSpec:
                 raise GateSpecError("matrix is not unitary within 1e-9")
             description = {"matrix": [[[x.real, x.imag] for x in row] for row in u]}
         else:
-            raise GateSpecError(f"unrecognized target spec: {description!r}")
+            raise GateSpecError(f"unrecognized target spec: {_ECHO.repr(description)}")
     except GateSpecError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GateSpecError(f"invalid target: {exc}") from exc
-    if not np.isfinite(u).all():
+    if not all(cmath.isfinite(x) for row in u for x in row):
         raise GateSpecError("target unitary is not finite")
+    import numpy as np
+    u = np.asarray(u, dtype=complex)
+    u.flags.writeable = False
     return GateSpec(description, u)
 
 
@@ -290,7 +303,7 @@ def cmd_verify(args) -> int:
             raise ValueError("epsilon and eps_target must be finite")
         target = None if given else doc["target"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CommandError(f"malformed schedule: {exc!r}") from exc
+        raise CommandError(f"malformed schedule: {_ECHO.repr(exc)}") from exc
     spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)
     eps = ir.schedule_error(spec.unitary, pulses, frame)
     ok = eps <= min(declared, eps_target) + ir.ERROR_SLACK

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
+from .su2 import TWO_PI, hs_fidelity, identity, mod_2pi, mod_pm_pi, rz, xy_rotation
 
-from .su2 import IDENTITY, TWO_PI, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
+if TYPE_CHECKING:
+    import numpy as np
 
 # Canonical angles below this are dropped (pure global phase at double precision).
 ANGLE_EPS = 1e-12
@@ -99,7 +100,7 @@ def step_unitary(step: PulseStep) -> np.ndarray:
 def sequence_unitary(steps: PulseSequence) -> np.ndarray:
     """Semantic unitary of a schedule; later steps left-multiply."""
     if not steps:
-        return IDENTITY
+        return identity()
     u = step_unitary(steps[0])
     for step in steps[1:]:
         u = step_unitary(step) @ u

@@ -2,8 +2,11 @@
 
 Axis-angle rotations, Hilbert-Schmidt fidelity, the real quaternion of
 a unitary and the ZXZ Euler decomposition. Everything here is a pure
-function on 2x2 complex numpy arrays; global phase is never physically
-meaningful and fidelity is blind to it.
+function of a 2x2 complex matrix; global phase is never physically
+meaningful and fidelity is blind to it. A matrix comes in as anything
+indexable as m[i][j], and comes out as a numpy array. numpy is imported
+inside the functions that build or read arrays, so importing this module
+does not load it; the first such call does.
 
 Convention fixed once for the whole package:
 
@@ -16,15 +19,15 @@ XY(phi, theta) = Z_phi . X_theta . Z_{-phi} exactly (no residual phase).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-IDENTITY = np.eye(2, dtype=complex)
-IDENTITY.flags.writeable = False  # shared: sequence_unitary([]) returns it
 
 
 class InvalidAxisError(ValueError):
@@ -53,15 +56,25 @@ def mod_pm_pi(angle: float) -> float:
     return a
 
 
+@functools.cache
+def identity() -> np.ndarray:
+    """The 2x2 identity, built on the first call and shared, so it is read-only."""
+    import numpy as np
+    u = np.eye(2, dtype=complex)
+    u.flags.writeable = False
+    return u
+
+
 def is_unitary(u: np.ndarray) -> bool:
     """2x2 and unitary to within 1e-9 per entry of u^dag u - I."""
+    import numpy as np
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
     # an entry above 2 can never pass, and large ones would overflow the product
     if not max(map(abs, u.flat)) <= 2.0:
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - IDENTITY)) <= 1e-9)
+    return bool(np.max(np.abs(u.conj().T @ u - identity())) <= 1e-9)
 
 
 def rotation_unitary(axis, theta: float) -> np.ndarray:
@@ -75,6 +88,7 @@ def rotation_unitary(axis, theta: float) -> np.ndarray:
         raise InvalidAxisError(f"axis norm {norm!r} deviates from 1 by more than 1e-9")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
+    import numpy as np
     return np.array(
         [
             [c - 1j * s * nz, -1j * s * (nx - 1j * ny)],
@@ -99,6 +113,7 @@ def xy_rotation(phase: float, theta: float) -> np.ndarray:
 
 def hs_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|Tr(u^dag v)/2|^2 -- global-phase-invariant similarity in [0, 1]."""
+    import numpy as np
     return abs(np.vdot(u, v)) ** 2 / 4.0
 
 
@@ -134,6 +149,7 @@ def euler_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
 
     [[cos(t/2), -e^{i lam} sin(t/2)], [e^{i phi} sin(t/2), e^{i(lam+phi)} cos(t/2)]]
     """
+    import numpy as np
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     return np.array(
@@ -151,6 +167,7 @@ def euler_zxz(u: np.ndarray) -> EulerZXZ:
     determined, in which case lam is fixed to 0 and everything folds
     into phi.
     """
+    import numpy as np
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise InvalidUnitaryError("input is not unitary within 1e-9")

@@ -16,11 +16,13 @@ euler_matrix(theta, phi, lam) is, in time order:
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import ir
 from .su2 import euler_zxz
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def u3_sequence(theta: float, phi: float, lam: float) -> list[ir.PulseStep]:

@@ -3,10 +3,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pulsegate
 from pulsegate import cli, greedy, hs_fidelity, sequence_unitary
 from pulsegate.cli import NAMED_GATES, build_parser, main
 from pulsegate.greedy import MAX_AXES
@@ -104,6 +108,7 @@ class TestGateSpecs:
 
     def test_all_named_gates_unitary(self):
         for name, u in NAMED_GATES.items():
+            u = np.asarray(u)
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12, name
 
     def test_euler_spec_hadamard(self, capsys):
@@ -272,6 +277,33 @@ class TestUsageErrors:
             main(["compile", "-h"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: pulsegate compile")
+
+    @pytest.mark.parametrize(
+        "target, pulse",
+        [
+            (list(range(5000)), None),
+            (json.loads("[" * 900 + "]" * 900), None),
+            ({"matrix": [["a" * 5000, 0], [0, 1]]}, None),
+            ({"euler": ["x" * 5000, 0, 0]}, None),
+            ({"gate": "q" * 5000}, None),
+            ({f"k{i}" * 1000: "v" * 1000 for i in range(9)}, None),
+            (None, "a" * 5000),
+        ],
+        ids=["wide", "nested-900", "matrix-entry", "euler-number", "gate-name", "dict", "pulse-phase"],
+    )
+    def test_echoed_value_is_cut_short(self, tmp_path, target, pulse):
+        # uncut, these lines ran to thousands of characters
+        _, out, _ = _outcome(["compile", "--gate", "H"])
+        doc = json.loads(out)
+        if target is not None:
+            doc["target"] = target
+        if pulse is not None:
+            doc["pulses"][0]["phase_rad"] = pulse
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _outcome(["verify", "--schedule", str(path)])
+        assert code == (1 if pulse else 2) and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201, err
 
     @pytest.mark.parametrize(
         "content", [NOT_UTF8, DEEP.encode(), None], ids=["file-not-utf8", "file-deep", "inline-deep"]
@@ -626,6 +658,7 @@ class TestCliProperty:
         assert code in (0, 1, 2), (argv, code, err)
         assert not caught, (argv, [str(w.message) for w in caught])
         assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, (argv, err)
+        assert all(len(line) <= 200 for line in err.splitlines()), (argv, err)
         if code == 2:
             assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
         if code == 0:
@@ -746,10 +779,11 @@ TARGET_FORMS = [
     pytest.param(None, {"axis": [0, 0, 1], "angle": None}, "malformed number in angle: None", id="angle-null"),
     pytest.param(None, {"euler": 5}, "euler needs a list of 3 numbers, got 5", id="euler-not-a-list"),
     pytest.param(None, {"euler": "1,2,3"}, "euler needs a list of 3 numbers, got '1,2,3'", id="euler-string"),
-    pytest.param(None, {"euler": [1, 2, 10**400]}, f"malformed number in euler: {10**400}",
+    # an echoed value is cut in the middle: 10**400 has 401 digits
+    pytest.param(None, {"euler": [1, 2, 10**400]}, "malformed number in euler: 10000000...000000000",
                  id="euler-int-too-large"),
     pytest.param(None, 5, "unrecognized target spec: 5", id="target-int"),
-    pytest.param(None, {"matrix": [[10**400, 0], [0, 1]]}, f"malformed number in matrix: {10**400}",
+    pytest.param(None, {"matrix": [[10**400, 0], [0, 1]]}, "malformed number in matrix: 10000000...000000000",
                  id="matrix-int-too-large"),
     pytest.param(None, {"matrix": [1, 2]}, "matrix must be 2x2", id="matrix-flat"),
     pytest.param(None, {"matrix": [[["a", 0], 0], [0, 1]]}, "malformed number in matrix: 'a'",
@@ -785,6 +819,34 @@ def test_flags_and_files_resolve_alike(tmp_path, flags, description, message):
         assert np.array_equal(from_flags.unitary, spec.unitary)
     if description.get("gate") == "h":
         assert code == 0 and spec.description == {"gate": "H"}
+
+
+def test_import_and_usage_errors_load_no_numpy():
+    """numpy loads on the first call that builds an array, not on import or a usage error."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import pulsegate
+        from pulsegate import GreedyConfig, allowed_axes
+        from pulsegate.cli import main
+        allowed_axes(16386)
+        GreedyConfig(1e-8)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["compile", "--gate", "Q"]) == 2
+            assert main(["compile", "--bogus"]) == 2
+            try:
+                main(["compile", "-h"])
+            except SystemExit as exc:
+                assert exc.code == 0
+            else:
+                raise AssertionError("-h did not exit")
+            assert "numpy" not in sys.modules, "numpy loaded before any array was built"
+            assert main(["compile", "--gate", "H"]) == 0  # one greedy_compile
+        assert "numpy" in sys.modules
+    """)
+    src = str(Path(pulsegate.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestGolden:

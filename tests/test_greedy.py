@@ -182,6 +182,10 @@ class TestConfig:
             GreedyConfig(eps_target=EPS_FLOOR / 10)
         assert GreedyConfig(eps_target=EPS_FLOOR).eps_target == 1e-24
 
+    def test_rejects_eps_one(self):
+        with pytest.raises(InvalidConfigurationError):
+            GreedyConfig(1.0)
+
 
 class TestBestAxisStep:
     def test_exact_target_on_xy_axis(self):

@@ -66,6 +66,12 @@ class TestCanonicalization:
             assert (folded.phase.hex(), folded.angle.hex()) == (phase.hex(), angle.hex())
         assert math.copysign(1.0, canonical_step(XYPulse(-0.0, 1.0)).phase) == 1.0
 
+    def test_full_turn_phase_folds_to_zero(self):
+        assert canonical_step(XYPulse(2 * math.pi, 1.0)).phase == 0.0
+
+    def test_angle_eps_is_kept(self):
+        assert canonical_xy(0.3, ANGLE_EPS) is not None
+
     def test_virtual_z_range(self):
         z = canonical_virtual_z(1.5 * math.pi)
         assert z.alpha == pytest.approx(-0.5 * math.pi)
