@@ -23,18 +23,14 @@ import reprlib
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 from . import bench, ir
 from .greedy import CompileError, GreedyConfig, InvalidConfigurationError, allowed_axes, greedy_compile
-from .su2 import euler_matrix, is_unitary, rotation_unitary
+from .su2 import entries, euler_matrix, is_unitary, rotation_unitary
 from .u3 import u3_compile
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _INV_SQRT2 = 1 / math.sqrt(2)
-# entries are Python complex; gate_spec_from_json hands each out as a read-only array
+# entries are Python complex, in the 2x2 form GateSpec.unitary holds
 NAMED_GATES = {
     "I": ((1 + 0j, 0j), (0j, 1 + 0j)),
     "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
@@ -51,6 +47,15 @@ NAMED_GATES = {
 _ECHO = reprlib.Repr()
 _ECHO.maxlevel, _ECHO.maxdict, _ECHO.maxlist = 1, 3, 4
 _ECHO.maxstring, _ECHO.maxlong, _ECHO.maxother = 20, 20, 100
+
+
+def _error_line(exc: Exception) -> str:
+    """`error: <exc>`, cut to 200 characters around "..." as _ECHO cuts a string.
+
+    It catches what _ECHO never sees: argparse's own errors, an OS error naming a long path.
+    """
+    line = f"error: {exc}"
+    return line if len(line) <= 200 else line[:98] + "..." + line[-99:]
 
 
 class GateSpecError(ValueError):
@@ -74,10 +79,10 @@ def _read_json(error: type[Exception], what: str, *, path: str | None = None, te
 
 @dataclass(frozen=True)
 class GateSpec:
-    """A resolved target gate, as a read-only array, plus its normalized JSON description."""
+    """A resolved target gate, as 2x2 rows of Python complex, plus its normalized JSON description."""
 
     description: dict
-    unitary: np.ndarray
+    unitary: tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 def _matrix_from_json(data) -> tuple[tuple[complex, ...], ...]:
@@ -187,12 +192,10 @@ def gate_spec_from_json(description) -> GateSpec:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GateSpecError(f"invalid target: {exc}") from exc
-    if not all(cmath.isfinite(x) for row in u for x in row):
+    a, b, c, d = entries(u)
+    if not all(map(cmath.isfinite, (a, b, c, d))):
         raise GateSpecError("target unitary is not finite")
-    import numpy as np
-    u = np.asarray(u, dtype=complex)
-    u.flags.writeable = False
-    return GateSpec(description, u)
+    return GateSpec(description, ((a, b), (c, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return commands[args.command](args)
     except (CommandError, argparse.ArgumentError, GateSpecError, InvalidConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 1 if isinstance(exc, CommandError) else 2
 
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import ir
-from .su2 import TWO_PI, quaternion
+from .su2 import TWO_PI, entries, quaternion
 
 # Stall safeguards: iteration budget, trial-angle halving, damping floor (radians).
 MAX_ITERS = 10_000
@@ -179,7 +179,7 @@ def greedy_compile(
     axes: AxisSet,
     config: GreedyConfig,
 ) -> tuple[ir.CompiledGate, ir.CompileReport]:
-    """Compile the 2x2 unitary `target` into allowed-axis rotations to error <= eps_target.
+    """Compile the 2x2 unitary `target` (an array or nested rows) to error <= eps_target.
 
     Accepted steps strictly lower the error, so the loop terminates on
     the error test on the common path; MAX_ITERS and the damping floor
@@ -187,7 +187,7 @@ def greedy_compile(
     The finishing passes (merge, absorb, merge) are exact, and the final
     gate is re-verified against the target.
     """
-    (t00, t01), (t10, t11) = target.tolist()
+    t00, t01, t10, t11 = entries(target)
     state = quaternion(((t00.conjugate(), t10.conjugate()), (t01.conjugate(), t11.conjugate())))
     error = state[1] ** 2 + state[2] ** 2 + state[3] ** 2
     steps: list[ir.PulseStep] = []

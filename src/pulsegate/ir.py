@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .su2 import TWO_PI, hs_fidelity, identity, mod_2pi, mod_pm_pi, rz, xy_rotation
+from .su2 import TWO_PI, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,7 +100,8 @@ def step_unitary(step: PulseStep) -> np.ndarray:
 def sequence_unitary(steps: PulseSequence) -> np.ndarray:
     """Semantic unitary of a schedule; later steps left-multiply."""
     if not steps:
-        return identity()
+        import numpy as np
+        return np.eye(2, dtype=complex)
     u = step_unitary(steps[0])
     for step in steps[1:]:
         u = step_unitary(step) @ u
@@ -203,16 +204,14 @@ class CompileReport:
     post_pass_pulse_count: int
 
 
-def schedule_error(
-    target: np.ndarray, pulses: Sequence[XYPulse], frame_phase: float
-) -> float:
+def schedule_error(target, pulses: Sequence[XYPulse], frame_phase: float) -> float:
     """Gate error 1 - F of a finished schedule; roundoff below 0 reads 0, NaN stays NaN."""
     u = sequence_unitary([*pulses, VirtualZ(frame_phase)])
     return max(1.0 - hs_fidelity(target, u), 0.0)
 
 
 def finish(
-    target: np.ndarray,
+    target,
     steps: PulseSequence,
     pulses: Sequence[XYPulse],
     frame_phase: float,

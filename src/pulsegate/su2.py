@@ -3,10 +3,10 @@
 Axis-angle rotations, Hilbert-Schmidt fidelity, the real quaternion of
 a unitary and the ZXZ Euler decomposition. Everything here is a pure
 function of a 2x2 complex matrix; global phase is never physically
-meaningful and fidelity is blind to it. A matrix comes in as anything
-indexable as m[i][j], and comes out as a numpy array. numpy is imported
-inside the functions that build or read arrays, so importing this module
-does not load it; the first such call does.
+meaningful and fidelity is blind to it. A matrix comes in as a numpy
+array or as nested rows, both read by `entries`, and comes out as a numpy
+array. numpy is imported inside the functions that build or compute with
+arrays, so importing this module does not load it; the first such call does.
 
 Convention fixed once for the whole package:
 
@@ -19,7 +19,6 @@ XY(phi, theta) = Z_phi . X_theta . Z_{-phi} exactly (no residual phase).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -56,25 +55,25 @@ def mod_pm_pi(angle: float) -> float:
     return a
 
 
-@functools.cache
-def identity() -> np.ndarray:
-    """The 2x2 identity, built on the first call and shared, so it is read-only."""
-    import numpy as np
-    u = np.eye(2, dtype=complex)
-    u.flags.writeable = False
-    return u
+def entries(u) -> tuple[complex, complex, complex, complex]:
+    """(u00, u01, u10, u11) of a 2x2 as Python complex; an ndarray is read through tolist()."""
+    (u00, u01), (u10, u11) = u.tolist() if hasattr(u, "tolist") else u
+    return complex(u00), complex(u01), complex(u10), complex(u11)
 
 
-def is_unitary(u: np.ndarray) -> bool:
-    """2x2 and unitary to within 1e-9 per entry of u^dag u - I."""
-    import numpy as np
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
+def is_unitary(u) -> bool:
+    """2x2 and unitary to within 1e-9 per entry of u^dag u - I; anything else is False."""
+    try:
+        a, b, c, d = entries(u)
+        # an entry above 2 can never pass, and large ones would overflow the products
+        if not max(map(abs, (a, b, c, d))) <= 2.0:  # abs itself overflows past 1.8e308
+            return False
+    except (TypeError, ValueError, OverflowError):
         return False
-    # an entry above 2 can never pass, and large ones would overflow the product
-    if not max(map(abs, u.flat)) <= 2.0:
-        return False
-    return bool(np.max(np.abs(u.conj().T @ u - identity())) <= 1e-9)
+    # u^dag u - I, whose lower-left entry is the conjugate of the upper-right one
+    rest = (a.conjugate() * a + c.conjugate() * c - 1.0, a.conjugate() * b + c.conjugate() * d,
+            b.conjugate() * b + d.conjugate() * d - 1.0)
+    return all(abs(x) <= 1e-9 for x in rest)
 
 
 def rotation_unitary(axis, theta: float) -> np.ndarray:
@@ -124,7 +123,7 @@ def quaternion(u) -> tuple[float, float, float, float]:
     the largest of them and removed, so all four come out real. q and -q
     describe the same gate, and either may be returned.
     """
-    u00, u01, u10, u11 = complex(u[0][0]), complex(u[0][1]), complex(u[1][0]), complex(u[1][1])
+    u00, u01, u10, u11 = entries(u)
     w = ((u00 + u11) / 2, 1j * (u01 + u10) / 2, (u10 - u01) / 2, 1j * (u00 - u11) / 2)
     big = max(w, key=abs)
     k = big.conjugate() / abs(big) if big else 1.0
@@ -160,19 +159,16 @@ def euler_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-def euler_zxz(u: np.ndarray) -> EulerZXZ:
+def euler_zxz(u) -> EulerZXZ:
     """Decompose a 2x2 unitary as e^{i gamma} * euler_matrix(theta, phi, lam).
 
     theta comes from |u00|; when theta is 0 or pi only one z-angle is
     determined, in which case lam is fixed to 0 and everything folds
     into phi.
     """
-    import numpy as np
-    u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise InvalidUnitaryError("input is not unitary within 1e-9")
-    a00, a01 = u[0, 0], u[0, 1]
-    a10, a11 = u[1, 0], u[1, 1]
+    a00, a01, a10, a11 = entries(u)
     theta = 2.0 * math.acos(min(max(abs(a00), 0.0), 1.0))
     if abs(a10) == 0.0:  # theta = 0: diagonal matrix
         gamma = cmath.phase(a00)

@@ -16,13 +16,9 @@ euler_matrix(theta, phi, lam) is, in time order:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from . import ir
 from .su2 import euler_zxz
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def u3_sequence(theta: float, phi: float, lam: float) -> list[ir.PulseStep]:
@@ -42,8 +38,8 @@ def u3_sequence(theta: float, phi: float, lam: float) -> list[ir.PulseStep]:
     return steps
 
 
-def u3_compile(target: np.ndarray) -> tuple[ir.CompiledGate, ir.CompileReport]:
-    """Compile `target` to the fixed two-pulse schedule.
+def u3_compile(target) -> tuple[ir.CompiledGate, ir.CompileReport]:
+    """Compile the 2x2 unitary `target` (an array or nested rows) to the two-pulse schedule.
 
     Absorption is not followed by the merge pass: the two pulses must
     stay distinct even when the interior z rotation vanishes (theta = pi),

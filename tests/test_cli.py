@@ -128,10 +128,10 @@ class TestGateSpecs:
         assert "unitary" in err
 
     def test_named_gate_unitary_cannot_be_written(self):
-        # the spec hands out a read-only array built from the NAMED_GATES tuple
+        # the spec holds the target as nested tuples, which cannot be written
         spec = cli.gate_spec_from_json({"gate": "H"})
-        with pytest.raises(ValueError, match="read-only"):
-            spec.unitary[0, 0] = 5
+        with pytest.raises(TypeError):
+            spec.unitary[0][0] = 5
         assert _outcome(["compile", "--gate", "H"])[0] == 0
 
     def test_unknown_gate_rejected(self, capsys):
@@ -527,15 +527,19 @@ _TARGETS = {
 }
 # axis counts far beyond any compile budget: valid, at the bound, past it, and past any float
 HUGE_COUNTS = ("99999999999", str(MAX_AXES), str(MAX_AXES + 1), str(10**400))
+# values argparse itself rejects, or reads as a number too large to use, echoing them whole
+_LONG = st.sampled_from(["9" * 5000, "x" * 5000])
 _OPTIONS = {
-    "--angle": _number,
+    "--angle": _number | _LONG,
     "--axes": st.one_of(st.integers(4, 64), st.integers(-2, 64)).map(str)
-    | st.sampled_from(["x", "1.5", "", *HUGE_COUNTS]),
+    | st.sampled_from(["x", "1.5", "", *HUGE_COUNTS])
+    | _LONG,
     "--epsilon": st.one_of(
         st.floats(1e-8, 0.5).map(repr),
         st.sampled_from(["nan", "inf", "abc", "0", "-1", "1", "1e-8"]),
+        _LONG,
     ),
-    "--format": st.sampled_from(["json", "json", "text", "xml"]),
+    "--format": st.sampled_from(["json", "json", "text", "xml"]) | _LONG,
 }
 
 
@@ -591,7 +595,8 @@ class TestCliProperty:
         (root / "nan-matrix.json").write_text("[[NaN,0],[0,1]]")
         (root / "not-utf8.json").write_bytes(NOT_UTF8)
         (root / "deep.json").write_text(DEEP)
-        return {p.name: str(p) for p in root.iterdir()} | {"absent.json": str(root / "absent.json")}
+        absent = {"absent.json": root / "absent.json", "long.json": root / ("d" * 150) / ("f" * 150)}
+        return {p.name: str(p) for p in root.iterdir()} | {k: str(p) for k, p in absent.items()}
 
     @pytest.fixture(scope="class")
     def out_paths(self, tmp_path_factory):
@@ -823,14 +828,24 @@ def test_flags_and_files_resolve_alike(tmp_path, flags, description, message):
 
 
 def test_import_and_usage_errors_load_no_numpy():
-    """numpy loads on the first call that builds an array, not on import or a usage error."""
+    """numpy loads on the first call that builds an array.
+
+    Not on import, a usage error, resolving a named or matrix target, or
+    checking and decomposing a 2x2 given as tuples.
+    """
     script = textwrap.dedent("""
         import contextlib, io, sys
         import pulsegate
         from pulsegate import GreedyConfig, allowed_axes
-        from pulsegate.cli import main
+        from pulsegate.cli import gate_spec_from_json, main
+        from pulsegate.su2 import euler_zxz, is_unitary, quaternion
         allowed_axes(16386)
         GreedyConfig(1e-8)
+        h = gate_spec_from_json({"gate": "H"}).unitary
+        gate_spec_from_json({"matrix": [[[0.6, 0], [0, 0.8]], [[0, 0.8], [0.6, 0]]]})
+        assert is_unitary(h) and not is_unitary(((1, 0), (0, 2)))
+        quaternion(h)
+        euler_zxz(h)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["compile", "--gate", "Q"]) == 2
             assert main(["compile", "--bogus"]) == 2

@@ -18,8 +18,10 @@ from pulsegate import (
     greedy_compile,
     hs_fidelity,
     rotation_unitary,
+    u3_compile,
 )
 from pulsegate import greedy, ir
+from pulsegate.cli import NAMED_GATES
 from pulsegate.greedy import (
     EPS_FLOOR,
     MAX_AXES,
@@ -643,6 +645,18 @@ class TestGreedyCompile:
     def test_huge_axis_count_compiles(self):
         gate, _ = greedy_compile(rx(1.0), allowed_axes(99_999_999_999), GreedyConfig(1e-10))
         assert gate.pulse_count == 1 and gate.epsilon <= 1e-10
+
+    @pytest.mark.parametrize("rows", [lambda u: tuple(map(tuple, u)), list], ids=["tuples", "lists"])
+    def test_any_indexable_2x2_compiles_alike(self, rows):
+        # the grid and the named gates, as arrays and as nested rows of Python complex
+        targets = [t.unitary for t in evaluation_dataset()]
+        targets += [np.array(u) for u in NAMED_GATES.values()]
+        configs = [(allowed_axes(n), GreedyConfig(eps)) for n in (6, 18, 16386) for eps in (1e-4, 1e-12)]
+        for k, u in enumerate(targets):
+            target = rows(u.tolist())
+            assert u3_compile(target) == u3_compile(u), k
+            for axes, config in configs:
+                assert greedy_compile(target, axes, config) == greedy_compile(u, axes, config), k
 
 
 # Haar-random unit quaternions (Shoemake's construction from three uniform draws)

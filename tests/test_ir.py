@@ -82,10 +82,9 @@ class TestSequenceUnitary:
         assert np.allclose(sequence_unitary([]), np.eye(2))
 
     def test_empty_unitary_cannot_be_written(self):
-        # the identity it returns is shared; writing to it would change every empty schedule
+        # each call returns a fresh identity, so writing to one cannot change the next
         u = sequence_unitary([])
-        with pytest.raises(ValueError, match="read-only"):
-            u *= 2
+        u *= 2
         assert np.array_equal(sequence_unitary([]), np.eye(2))
 
     def test_coaxial_pulses_add(self):

@@ -74,3 +74,32 @@ def test_distance_plateaus_from_34_axes(ladder_rows, eps):
 @pytest.mark.parametrize("eps", BALANCE_EPS)
 def test_pulse_balance_point_moves_with_precision(ladder_rows, eps):
     assert balance_point(ladder_rows, eps, "pulses_mean", 0.05) == PULSES_BALANCE[eps]
+
+
+# The paper's "very small prefactors": least-squares slopes per decade of
+# eps over 1e-1..1e-12 on the grid read 0.872 / 0.489 / 0.320 / 0.261 /
+# 0.195 / 0.168 pulses and 1.302 / 0.842 / 0.598 / 0.506 / 0.387 / 0.339
+# iterations at 6 / 10 / 18 / 34 / 130 / 10**12 axes (README table). Only
+# bounds are pinned, not monotonicity in n_axes.
+PREFACTOR_AXES = (6, 10, 18, 34, 130, 10**12)
+PREFACTOR_EPS = tuple(10.0 ** (-k) for k in range(1, 13))
+MAX_PULSES_PER_DECADE = 1.0
+MAX_ITERATIONS_PER_DECADE = 1.5
+
+
+@pytest.fixture(scope="module")
+def prefactor_cells():
+    _, gates = run_sweep(PREFACTOR_AXES, PREFACTOR_EPS, keep_gates=True)
+    return gates
+
+
+@pytest.mark.parametrize("n_axes", PREFACTOR_AXES)
+def test_prefactors_are_small(prefactor_cells, n_axes):
+    pulses, iterations = [], []
+    for eps in PREFACTOR_EPS:
+        cell = prefactor_cells[(n_axes, eps)]
+        assert None not in cell, (n_axes, eps)
+        pulses.append(sum(g.pulse_count for g in cell) / len(cell))
+        iterations.append(sum(g.iterations for g in cell) / len(cell))
+    assert fit_log_model(PREFACTOR_EPS, pulses).slope < MAX_PULSES_PER_DECADE, n_axes
+    assert fit_log_model(PREFACTOR_EPS, iterations).slope < MAX_ITERATIONS_PER_DECADE, n_axes

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pulsegate import u3_compile
 from pulsegate.su2 import (
     EulerZXZ,
     InvalidAxisError,
@@ -10,6 +11,7 @@ from pulsegate.su2 import (
     euler_matrix,
     euler_zxz,
     hs_fidelity,
+    is_unitary,
     rotation_unitary,
 )
 from pulsegate.su2 import mod_2pi, mod_pm_pi, quaternion, rx, rz, xy_rotation
@@ -190,6 +192,33 @@ class TestEulerZXZ:
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidUnitaryError):
             euler_zxz(np.array([[1, 0], [0, 2]], dtype=complex))
+
+
+class TestIsUnitary:
+    @pytest.mark.parametrize("scale, accepted", [(1 - 1e-6, True), (1 + 1e-6, False)])
+    def test_tolerance_edge(self, scale, accepted):
+        # diag(1, 1 + d): the (1, 1) entry of u^dag u - I is 2d + d^2, set just inside
+        # or just outside 1e-9
+        x = 1e-9 * scale
+        u = np.diag([1.0, 1.0 + x / (math.sqrt(1.0 + x) + 1.0)]).astype(complex)
+        assert is_unitary(u) is accepted
+        assert is_unitary(tuple(map(tuple, u.tolist()))) is accepted
+
+    @pytest.mark.parametrize(
+        "u", [np.diag([2.5, 0.4]), ((1e308 + 1e308j, 0), (0, 1))], ids=["2.5", "abs-overflows"]
+    )
+    def test_large_entry_rejected(self, u):
+        assert is_unitary(u) is False
+
+    @pytest.mark.parametrize(
+        "u", [np.eye(3), [[1, 0], [0]], [1, 0, 0, 1]], ids=["3x3", "ragged", "1-D"]
+    )
+    def test_not_2x2_is_rejected(self, u):
+        assert is_unitary(u) is False
+        with pytest.raises(InvalidUnitaryError):
+            euler_zxz(u)
+        with pytest.raises(InvalidUnitaryError):
+            u3_compile(u)
 
 
 class TestModTwoPi:
