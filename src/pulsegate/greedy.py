@@ -137,9 +137,9 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
     error is lower by more than the TIE_RTOL margin, so ties break to
     the first axis in set order.
     """
+    cos, sin = math.cos, math.sin
     a0, ax, ay, az = state
-    c = math.cos(step_angle / 2.0)
-    s = math.sin(step_angle / 2.0)
+    c, s = cos(step_angle / 2.0), sin(step_angle / 2.0)
     cx, cy, cz = c * ax, c * ay, c * az
     margin = TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
     sx, sy, s0 = s * ax, s * ay, s * a0
@@ -156,8 +156,8 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
         lo = math.floor(psi * m / TWO_PI)
         hi = math.floor((psi + math.pi) * m / TWO_PI)
         for j in sorted({lo % m, (lo + 1) % m, hi % m, (hi + 1) % m}):
-            phi = axes.phase(2 + j)
-            nx, ny = math.cos(phi), math.sin(phi)
+            phi = TWO_PI * j / m  # axes.phase(2 + j), inline
+            nx, ny = cos(phi), sin(phi)
             bx = cx + s * (a0 * nx + ny * az)
             by = cy + s * (a0 * ny - nx * az)
             bz = cz + s * (nx * ay - ny * ax)

@@ -82,10 +82,10 @@ def canonical_virtual_z(alpha: float) -> Optional[VirtualZ]:
 
 
 def canonical_step(step: PulseStep) -> Optional[PulseStep]:
+    # already canonical: folding would give back the same floats (phase 0 still folds, so
+    # that -0.0 becomes 0.0, and so does a negative shift, whose trip through 2 pi rounds)
     if isinstance(step, VirtualZ):
-        return canonical_virtual_z(step.alpha)
-    # already canonical: folding would give back the same floats (phase 0
-    # still folds, so that -0.0 becomes 0.0)
+        return step if ANGLE_EPS <= step.alpha <= math.pi else canonical_virtual_z(step.alpha)
     if 0.0 < step.phase < TWO_PI and ANGLE_EPS <= step.angle <= math.pi:
         return step
     return canonical_xy(step.phase, step.angle)
@@ -104,7 +104,7 @@ def sequence_unitary(steps: PulseSequence) -> np.ndarray:
         return np.eye(2, dtype=complex)
     u = step_unitary(steps[0])
     for step in steps[1:]:
-        u = step_unitary(step) @ u
+        u = step_unitary(step).dot(u)  # the same product as @, with less call overhead
     return u
 
 
@@ -156,8 +156,9 @@ def absorb_virtual_z(steps: PulseSequence) -> tuple[list[XYPulse], float]:
     for step in steps:
         if isinstance(step, VirtualZ):
             z_acc += step.alpha
-        else:
-            shifted = canonical_xy(step.phase - z_acc, step.angle)
+        else:  # with nothing to absorb yet, canonical_step passes a canonical pulse unchanged
+            shifted = (canonical_step(step) if z_acc == 0.0
+                       else canonical_xy(step.phase - z_acc, step.angle))
             if shifted is not None:
                 pulses.append(shifted)
     return pulses, mod_2pi(z_acc)

@@ -89,11 +89,8 @@ def rotation_unitary(axis, theta: float) -> np.ndarray:
     s = math.sin(theta / 2.0)
     import numpy as np
     return np.array(
-        [
-            [c - 1j * s * nz, -1j * s * (nx - 1j * ny)],
-            [-1j * s * (nx + 1j * ny), c + 1j * s * nz],
-        ]
-    )
+        [c - 1j * s * nz, -1j * s * (nx - 1j * ny), -1j * s * (nx + 1j * ny), c + 1j * s * nz]
+    ).reshape(2, 2)
 
 
 def rz(alpha: float) -> np.ndarray:

@@ -5,6 +5,12 @@ changes, so a simplification of the library must keep every name and
 field they use; this pins them.
 """
 
+import ast
+import importlib
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 
 import pulsegate as pg
@@ -61,3 +67,114 @@ def test_run_sweep_returns_rows():
     rows = bench.run_sweep([6], [1e-1])
     assert isinstance(rows, list) and len(rows) == 1
     assert rows[0].failures == 0
+
+
+# --------------------------------------------------------------------------
+# Every function perfbench hooks is reached on its workload's path.
+#
+# perfbench's traced run prints a null per-layer metric for a hooked
+# function that is gone, or that a workload's targets never reach, and a
+# null makes the run's result line invalid. These tests catch that in
+# tier-1: they read the hook sets from perfbench/workloads.py, wrap every
+# binding of each hooked function by the tracer's rule and count the calls.
+# They go with ROADMAP item 1's hook remap: once the hooks move, so do the
+# sets these tests read.
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def declared_hook_sets() -> dict[str, frozenset]:
+    """Module-level `*_HOOKS` sets and `<Class>.<attr>_hooks` sets of workloads.py.
+
+    Read from its source, since importing it would put perfbench's own
+    modules on sys.path; a set named in another set's expression is expanded.
+    """
+    found: dict[str, frozenset] = {}
+
+    def names(expr) -> frozenset:
+        out = set()
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+            elif isinstance(node, ast.Name) and node.id in found:
+                out |= found[node.id]
+        return frozenset(out)
+
+    def assigns(body, prefix=""):
+        for node in body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                if name.endswith("_HOOKS") or name.endswith("_hooks"):
+                    found[prefix + name] = names(node.value)
+            elif isinstance(node, ast.ClassDef):
+                assigns(node.body, node.name + ".")
+
+    assigns(ast.parse(WORKLOADS_PY.read_text()).body)
+    return found
+
+
+HOOKS = declared_hook_sets()
+
+
+def count_calls(monkeypatch, hooks) -> Counter:
+    """Count calls to each hooked function, rebinding it as perfbench's tracer does.
+
+    The hook "module.function" names `pulsegate.<module>.<function>`; every
+    binding of that function object in a loaded pulsegate module is
+    replaced (perfbench/spans.py, `Tracer.install`), so a call counts
+    whichever module makes it.
+    """
+    calls: Counter = Counter()
+
+    def counted(hook, fn):
+        def wrapper(*args, **kwargs):
+            calls[hook] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for hook in hooks:
+        importlib.import_module("pulsegate." + hook.partition(".")[0])
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "pulsegate" or name.startswith("pulsegate."))]
+    for hook in sorted(hooks):
+        module_name, _, attr = hook.partition(".")
+        original = getattr(sys.modules["pulsegate." + module_name], attr, None)
+        assert callable(original), f"{hook} is gone: perfbench reports it missing"
+        wrapper = counted(hook, original)
+        for m in modules:
+            for name, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, name, wrapper)
+    return calls
+
+
+def test_hook_sets_are_read():
+    assert "greedy.greedy_compile" in HOOKS["GREEDY_HOOKS"]
+    assert "cli.main" in HOOKS["CLI_HOOKS"]
+    assert HOOKS["GREEDY_HOOKS"] | HOOKS["CLI_HOOKS"] < HOOKS["CliRoundtrip.target_hooks"]
+    assert "bench.evaluation_dataset" in HOOKS["PaperGrid.setup_hooks"]
+
+
+def test_grid_compiles_reach_every_greedy_hook(monkeypatch):
+    hooks = HOOKS["GREEDY_HOOKS"] | HOOKS["PaperGrid.setup_hooks"]
+    calls = count_calls(monkeypatch, hooks)
+    dataset = pg.evaluation_dataset()
+    axes, config = pg.allowed_axes(6), pg.GreedyConfig(eps_target=1e-4)
+    for target in dataset:
+        pg.greedy_compile(target.unitary, axes, config)
+    assert len(dataset) == 128
+    assert sorted(h for h in hooks if not calls[h]) == []
+
+
+def test_cli_roundtrip_reaches_every_hook(monkeypatch, tmp_path, capsys):
+    from pulsegate import cli
+
+    hooks = HOOKS["CliRoundtrip.target_hooks"]
+    calls = count_calls(monkeypatch, hooks)
+    target = "--euler=1.1,0.4,-2.3"
+    assert cli.main(["compile", target]) == 0
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(capsys.readouterr().out)
+    assert cli.main(["verify", "--schedule", str(schedule)]) == 0
+    assert cli.main(["compile", target, "--baseline"]) == 0
+    assert sorted(h for h in hooks if not calls[h]) == []

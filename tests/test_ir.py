@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsegate import (
     XYPulse,
@@ -20,8 +22,9 @@ from pulsegate.ir import (
     canonical_xy,
     distance,
     schedule_error,
+    step_unitary,
 )
-from pulsegate.su2 import rx, rz, xy_rotation
+from pulsegate.su2 import mod_2pi, rotation_unitary, rx, rz, xy_rotation
 
 from conftest import random_canonical_sequence
 
@@ -240,3 +243,94 @@ class TestCostMetrics:
     def test_virtual_z_is_free(self):
         assert distance([VirtualZ(1.0)]) == 0.0
         assert pulse_count([VirtualZ(0.5), XYPulse(0.0, 1.0), VirtualZ(0.2), XYPulse(1.0, 0.5)]) == 2
+
+
+# --------------------------------------------------------------------------
+# The numpy calls on the compile path, bit for bit against the forms they
+# replaced: a flat array reshaped against the nested-row array, .dot against
+# @, and absorb's canonical-pulse pass-through against its shift rule. On a
+# numpy release where .dot and @ round differently these fail by name,
+# before any golden file does.
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, ANGLE_EPS, 5e-324]),
+    st.floats(-8.0, 8.0),
+)
+STEPS = st.one_of(st.builds(XYPulse, ANGLES, ANGLES), st.builds(VirtualZ, ANGLES))
+SCHEDULES = st.lists(STEPS, min_size=1, max_size=8)
+ZERO = st.sampled_from([0.0, -0.0])
+AXES = st.one_of(
+    st.builds(lambda phi, z: (math.cos(phi), math.sin(phi), z), ANGLES, ZERO),
+    st.builds(lambda x, y, sign: (x, y, sign), ZERO, ZERO, st.sampled_from([1.0, -1.0])),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    .filter(lambda v: math.hypot(*v) > 1e-3)
+    .map(lambda v: tuple(x / math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]) for x in v)),
+)
+
+
+def bits(a) -> list:
+    """The float64 view of a complex array as raw bits: signed zeros count."""
+    return np.ascontiguousarray(a).view(np.float64).view(np.uint64).tolist()
+
+
+def nested_rotation(axis, theta):
+    """rotation_unitary's documented formula, built as a nested-row array."""
+    nx, ny, nz = (float(x) for x in axis)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array(
+        [[c - 1j * s * nz, -1j * s * (nx - 1j * ny)], [-1j * s * (nx + 1j * ny), c + 1j * s * nz]]
+    )
+
+
+def absorb_by_shift_rule(steps):
+    """absorb_virtual_z with every pulse rebuilt as canonical_xy(phase - z_acc, angle)."""
+    z_acc, pulses = 0.0, []
+    for step in steps:
+        if isinstance(step, VirtualZ):
+            z_acc += step.alpha
+        elif (shifted := canonical_xy(step.phase - z_acc, step.angle)) is not None:
+            pulses.append(shifted)
+    return pulses, mod_2pi(z_acc)
+
+
+def exact(steps) -> list:
+    return [(s.alpha.hex(),) if isinstance(s, VirtualZ) else (s.phase.hex(), s.angle.hex())
+            for s in steps]
+
+
+class TestNumpyCallsBitForBit:
+    @given(AXES, ANGLES)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_rotation_matches_nested_rows(self, axis, theta):
+        got, want = rotation_unitary(axis, theta), nested_rotation(axis, theta)
+        assert got.shape == (2, 2) and got.dtype == want.dtype
+        assert bits(got) == bits(want)
+
+    @given(SCHEDULES)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_sequence_matches_matmul_fold(self, steps):
+        want = step_unitary(steps[0])
+        for step in steps[1:]:
+            want = step_unitary(step) @ want
+        assert bits(sequence_unitary(steps)) == bits(want)
+
+    @given(STEPS)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_canonical_step_matches_the_fold(self, step):
+        # the pass-through of an already canonical step returns what folding would
+        if isinstance(step, VirtualZ):
+            want = canonical_virtual_z(step.alpha)
+        else:
+            want = canonical_xy(step.phase, step.angle)
+        got = canonical_step(step)
+        assert got == want and exact([got] if got else []) == exact([want] if want else [])
+
+    @given(SCHEDULES)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_absorb_matches_shift_rule(self, steps):
+        # raw steps, and the canonical ones the greedy hands over after merging
+        for seq in (steps, merge_adjacent(steps)):
+            pulses, frame = absorb_virtual_z(seq)
+            want, want_frame = absorb_by_shift_rule(seq)
+            assert pulses == want and exact(pulses) == exact(want)
+            assert frame.hex() == want_frame.hex()
