@@ -191,10 +191,9 @@ def greedy_compile(
     state = quaternion(((t00.conjugate(), t10.conjugate()), (t01.conjugate(), t11.conjugate())))
     error = state[1] ** 2 + state[2] ** 2 + state[3] ** 2
     steps: list[ir.PulseStep] = []
-    iterations = 0
     damped = 0
     while not error <= config.eps_target:
-        if iterations >= MAX_ITERS:
+        if len(steps) >= MAX_ITERS:
             raise MaxItersError(f"no convergence within {MAX_ITERS} iterations", steps, error)
         angle = 2.0 * math.atan2(math.sqrt(error), abs(state[0]))
         while True:
@@ -212,11 +211,10 @@ def greedy_compile(
         else:
             steps.append(ir.XYPulse(axes.phase(i), angle))
         state, error = new_state, best
-        iterations += 1
 
     pulses, frame_phase = ir.absorb_virtual_z(ir.merge_adjacent(steps))
     gate, report = ir.finish(
-        target, steps, ir.merge_adjacent(pulses), frame_phase, iterations, damped
+        target, steps, ir.merge_adjacent(pulses), frame_phase, len(steps), damped
     )
     if not gate.epsilon <= config.eps_target + ir.ERROR_SLACK:
         raise CompileError(

@@ -110,7 +110,7 @@ def xy_rotation(phase: float, theta: float) -> np.ndarray:
 def hs_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|Tr(u^dag v)/2|^2 -- global-phase-invariant similarity in [0, 1]."""
     import numpy as np
-    return abs(np.vdot(u, v)) ** 2 / 4.0
+    return float(abs(np.vdot(u, v)) ** 2 / 4.0)
 
 
 def quaternion(u) -> tuple[float, float, float, float]:

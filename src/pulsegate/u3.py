@@ -23,19 +23,10 @@ from .su2 import euler_zxz
 
 def u3_sequence(theta: float, phi: float, lam: float) -> list[ir.PulseStep]:
     """Time-ordered two-pulse schedule for euler_matrix(theta, phi, lam)."""
-    steps: list[ir.PulseStep] = []
-    head = ir.canonical_virtual_z(lam - math.pi)
-    if head is not None:
-        steps.append(head)
-    steps.append(ir.XYPulse(0.0, math.pi / 2.0))
-    mid = ir.canonical_virtual_z(math.pi - theta)
-    if mid is not None:
-        steps.append(mid)
-    steps.append(ir.XYPulse(0.0, math.pi / 2.0))
-    tail = ir.canonical_virtual_z(phi)
-    if tail is not None:
-        steps.append(tail)
-    return steps
+    x90 = ir.XYPulse(0.0, math.pi / 2.0)
+    steps = (ir.canonical_virtual_z(lam - math.pi), x90, ir.canonical_virtual_z(math.pi - theta),
+             x90, ir.canonical_virtual_z(phi))
+    return [step for step in steps if step is not None]  # a trivial shift is None
 
 
 def u3_compile(target) -> tuple[ir.CompiledGate, ir.CompileReport]:

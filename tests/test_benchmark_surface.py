@@ -6,7 +6,9 @@ field they use; this pins them.
 """
 
 import ast
+import dataclasses
 import importlib
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -14,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 import pulsegate as pg
-from pulsegate import bench
+from pulsegate import bench, ir
+from pulsegate.su2 import rx, rz
 
 
 def test_greedy_compile_surface():
@@ -67,6 +70,36 @@ def test_run_sweep_returns_rows():
     rows = bench.run_sweep([6], [1e-1])
     assert isinstance(rows, list) and len(rows) == 1
     assert rows[0].failures == 0
+
+
+def python_numbers(value) -> list:
+    """Every number in a result dataclass, its pulses included; fails on anything else."""
+    if dataclasses.is_dataclass(value):
+        return [x for f in dataclasses.fields(value) for x in python_numbers(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [x for item in value for x in python_numbers(item)]
+    # exact types: numpy's float64 is a subclass of float
+    assert type(value) in (float, int), (type(value), value)
+    return [value]
+
+
+def test_every_result_number_is_a_python_float_or_int():
+    # no numpy scalar leaks out, clamped and NaN errors included, so repr shows plain numbers
+    results = [*pg.greedy_compile(rx(0.7), pg.allowed_axes(18), pg.GreedyConfig(1e-8)),
+               *pg.u3_compile(rz(0.3) @ rx(1.1)),
+               *bench.run_sweep([6], [1e-2])]
+    for result in results:
+        assert python_numbers(result)
+        assert "np." not in repr(result), repr(result)
+    exact = [pg.XYPulse(0.0, 0.05)]
+    assert pg.hs_fidelity(rx(0.05), pg.sequence_unitary(exact)) > 1.0
+    values = [pg.hs_fidelity(rx(0.05), rx(0.7)), pg.hs_fidelity(np.eye(2), np.eye(2)),
+              pg.hs_fidelity(np.full((2, 2), np.nan), np.eye(2)),
+              ir.schedule_error(rx(0.05), [pg.XYPulse(0.3, 0.05)], 0.2),
+              ir.schedule_error(rx(0.05), exact, 0.0),  # 1 - F < 0, clamped to 0.0
+              ir.schedule_error(rx(0.05), exact, np.nan)]
+    assert [type(x) for x in values] == [float] * len(values)
+    assert values[-2] == 0.0 and math.isnan(values[2]) and math.isnan(values[-1])
 
 
 # --------------------------------------------------------------------------

@@ -606,16 +606,18 @@ class TestGreedyCompile:
 
     def test_fidelity_monotone(self, rng):
         # replay the loop with best_axis_step: the error |a|^2 (1 - F) must
-        # strictly decrease at every accepted step until the threshold
+        # strictly decrease at every accepted step until the threshold, and the
+        # reported iterations are the accepted steps
         target = random_unitary(rng)
-        axes = allowed_axes(6)
-        config = GreedyConfig(1e-6)
-        _, report = greedy_compile(target, axes, config)
-        steps = replay(target, axes, config.eps_target)
-        errors = [steps[0][3]] + [best for *_, best in steps]
-        assert all(b < a for a, b in zip(errors, errors[1:]))
-        assert errors[-1] <= config.eps_target < errors[-2]
-        assert len(steps) == report.iterations
+        cases = [(6, 1e-6)] + [(n, eps) for n in (6, 18, 16386) for eps in (1e-4, 1e-12)]
+        for n_axes, eps in cases:
+            axes = allowed_axes(n_axes)
+            _, report = greedy_compile(target, axes, GreedyConfig(eps))
+            steps = replay(target, axes, eps)
+            errors = [steps[0][3]] + [best for *_, best in steps]
+            assert all(b < a for a, b in zip(errors, errors[1:])), (n_axes, eps)
+            assert errors[-1] <= eps < errors[-2], (n_axes, eps)
+            assert len(steps) == report.iterations, (n_axes, eps)
 
     def test_report_pre_pass_metrics(self, rng):
         target = random_unitary(rng)
