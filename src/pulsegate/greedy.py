@@ -21,8 +21,8 @@ of the set.
 Allowed axes are the +/- z lines plus n_axes - 2 >= 3 phases uniform on
 the XY-plane, so +/-x and +/-y are always present when 4 | (n_axes - 2).
 An axis is its index in set order. Z-line steps are recorded as free
-virtual-Z shifts; the finishing passes merge adjacent rotations and
-absorb the virtual-Zs into pulse phases.
+virtual-Z shifts; `ir.finish` then merges adjacent rotations, absorbs
+the virtual-Zs into pulse phases and merges again.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ def greedy_compile(
     Accepted steps strictly lower the error, so the loop terminates on
     the error test on the common path; MAX_ITERS and the damping floor
     are safety nets, and a non-finite target stops at the damping floor.
-    The finishing passes (merge, absorb, merge) are exact, and the final
-    gate is re-verified against the target.
+    `ir.finish` runs the finishing passes (merge, absorb, merge), which
+    are exact, and the final gate is re-verified against the target.
     """
     t00, t01, t10, t11 = entries(target)
     state = quaternion(((t00.conjugate(), t10.conjugate()), (t01.conjugate(), t11.conjugate())))
@@ -212,10 +212,7 @@ def greedy_compile(
             steps.append(ir.XYPulse(axes.phase(i), angle))
         state, error = new_state, best
 
-    pulses, frame_phase = ir.absorb_virtual_z(ir.merge_adjacent(steps))
-    gate, report = ir.finish(
-        target, steps, ir.merge_adjacent(pulses), frame_phase, len(steps), damped
-    )
+    gate, report = ir.finish(target, steps, len(steps), damped, merge=True)
     if not gate.epsilon <= config.eps_target + ir.ERROR_SLACK:
         raise CompileError(
             f"post-pass error {gate.epsilon} exceeds target {config.eps_target}",

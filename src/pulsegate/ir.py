@@ -12,8 +12,9 @@ hardware. Passes here are exact up to global phase:
 Cost metrics follow the zero-cost virtual-Z accounting: distance sums
 only physical pulse angles, pulse_count counts only physical pulses.
 
-Every compiler ends in `finish`, which evaluates the finished schedule
-with `schedule_error` and packages it as a CompiledGate plus its
+Every compiler ends in `finish`, which owns the pass order: it runs the
+passes on the compiler's raw steps, evaluates the finished schedule with
+`schedule_error` and packages it as a CompiledGate plus its
 CompileReport. Neither holds a wall-clock time, so a compile is a pure
 function of its input; callers that report timing measure the call.
 """
@@ -148,8 +149,8 @@ def absorb_virtual_z(steps: PulseSequence) -> tuple[list[XYPulse], float]:
     pulse at phase phi - z followed by the same shift; scanning in time
     order leaves only physical pulses plus one trailing frame phase.
     Returns (pulses, frame_phase in [0, 2*pi)). Absorption can make
-    pulses coaxial and adjacent; callers that want them folded run
-    merge_adjacent on the result.
+    pulses coaxial and adjacent; `finish` folds them with a second
+    merge_adjacent when its caller asks for merging.
     """
     z_acc = 0.0
     pulses: list[XYPulse] = []
@@ -214,16 +215,19 @@ def schedule_error(target, pulses: Sequence[XYPulse], frame_phase: float) -> flo
 def finish(
     target,
     steps: PulseSequence,
-    pulses: Sequence[XYPulse],
-    frame_phase: float,
     iterations: int,
     damped_steps: int,
+    *,
+    merge: bool,
 ) -> tuple[CompiledGate, CompileReport]:
-    """Evaluate a finished schedule and package it with its report.
+    """Run the finishing passes on `steps`, evaluate the result and package it with its report.
 
-    `steps` is the schedule before the finishing passes, `pulses` and
-    `frame_phase` what they left.
+    With `merge` the passes are merge_adjacent, absorb_virtual_z, merge_adjacent;
+    without it absorb_virtual_z alone.
     """
+    pulses, frame_phase = absorb_virtual_z(merge_adjacent(steps) if merge else steps)
+    if merge:
+        pulses = merge_adjacent(pulses)
     epsilon = schedule_error(target, pulses, frame_phase)
     gate = CompiledGate(
         pulses=tuple(pulses),

@@ -30,13 +30,8 @@ def u3_sequence(theta: float, phi: float, lam: float) -> list[ir.PulseStep]:
 
 
 def u3_compile(target) -> tuple[ir.CompiledGate, ir.CompileReport]:
-    """Compile the 2x2 unitary `target` (an array or nested rows) to the two-pulse schedule.
-
-    Absorption is not followed by the merge pass: the two pulses must
-    stay distinct even when the interior z rotation vanishes (theta = pi),
-    because the baseline's cost is fixed by construction.
-    """
+    """Compile the 2x2 unitary `target` (an array or nested rows) to the two-pulse schedule."""
     e = euler_zxz(target)
-    seq = u3_sequence(e.theta, e.phi, e.lam)
-    pulses, frame_phase = ir.absorb_virtual_z(seq)
-    return ir.finish(target, seq, pulses, frame_phase, 0, 0)
+    # no merge pass: the two pulses must stay distinct even when the interior
+    # z rotation vanishes (theta = pi), because the baseline's cost is fixed
+    return ir.finish(target, u3_sequence(e.theta, e.phi, e.lam), 0, 0, merge=False)

@@ -661,6 +661,51 @@ class TestGreedyCompile:
                 assert greedy_compile(target, axes, config) == greedy_compile(u, axes, config), k
 
 
+class TestFinishingPasses:
+    """What ir.finish does with the greedy loop's raw steps."""
+
+    @pytest.mark.parametrize("eps, absorbed, final", [
+        (1e-2, (4, 5.082027), (3, 3.196272)),
+        (1e-8, (11, 5.191668), (10, 3.305913)),
+    ])
+    def test_merge_after_absorb_folds_pulses(self, monkeypatch, eps, absorbed, final):
+        # absorbing the frame shifts leaves two pulses coaxial and adjacent; only the
+        # merge after absorption folds them, so the gate is one pulse and ~1.886 rad shorter
+        captured, absorb = [], ir.absorb_virtual_z
+
+        def spy(steps):
+            captured.append(absorb(steps))
+            return captured[-1]
+
+        monkeypatch.setattr(ir, "absorb_virtual_z", spy)
+        axis = (math.cos(3 * math.pi / 14) / math.sqrt(2), 1 / math.sqrt(2),
+                math.sin(3 * math.pi / 14) / math.sqrt(2))
+        gate, _ = greedy_compile(rotation_unitary(axis, math.pi), allowed_axes(6), GreedyConfig(eps))
+        [(pulses, _)] = captured
+        assert (len(pulses), round(ir.distance(pulses), 6)) == absorbed
+        assert (gate.pulse_count, round(gate.distance, 6)) == final
+
+    def test_smaller_eps_extends_the_raw_steps(self, monkeypatch):
+        # the loop picks each step without reading eps, so lowering eps only adds steps
+        raw, finish = [], ir.finish
+
+        def spy(target, steps, *args, **kwargs):
+            raw.append(list(steps))
+            return finish(target, steps, *args, **kwargs)
+
+        monkeypatch.setattr(ir, "finish", spy)
+        epsilons = [1e-1, 1e-2, 1e-4, 1e-8, 1e-12, 1e-16, 1e-20, 1e-24]
+        for n_axes in (6, 18, 16386):
+            axes = allowed_axes(n_axes)
+            for k, t in enumerate(evaluation_dataset()[::4]):
+                raw.clear()
+                for eps in epsilons:
+                    greedy_compile(t.unitary, axes, GreedyConfig(eps))
+                assert len(raw) == len(epsilons)
+                for coarse, fine in zip(raw, raw[1:]):
+                    assert fine[:len(coarse)] == coarse, (n_axes, 4 * k)
+
+
 # Haar-random unit quaternions (Shoemake's construction from three uniform draws)
 haar_quaternions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
     lambda u: (
