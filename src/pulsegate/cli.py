@@ -353,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--schedule", required=True, help="schedule JSON path")
     _add_gate_spec_flags(p_verify)
 
+    parser._commands = sub.choices  # each command's own parser, by name, for `main`
     return parser
 
 
@@ -361,8 +362,14 @@ def main(argv: list[str] | None = None) -> int:
     # looked up per call, not stored in the parser, so rebinding a command
     # function (a test double or a tracing wrapper) takes effect
     commands = {"compile": cmd_compile, "bench": cmd_bench, "verify": cmd_verify}
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # a line that starts with a command is parsed once, by that command's parser;
+        # any other line gets the top-level parser's help or usage error
+        if argv and argv[0] in commands:
+            return commands[argv[0]](parser._commands[argv[0]].parse_args(argv[1:]))
+        args = parser.parse_args(argv)
         return commands[args.command](args)
     except (CommandError, argparse.ArgumentError, GateSpecError, InvalidConfigurationError) as exc:
         print(_error_line(exc), file=sys.stderr)

@@ -137,6 +137,7 @@ class TestGateSpecs:
     def test_unknown_gate_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--gate", "Q")
         assert code == 2
+        assert err == "error: unknown gate 'Q'; known: I, X, Y, Z, H, S, T, SX\n"
 
     def test_axis_angle_spec(self, capsys):
         code, out, _ = run_cli(
@@ -270,6 +271,26 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["compile", "--axis", "0,0,1"], "error: --axis requires --angle\n"),
+            (
+                ["compile", "--matrix", '[[1, "a"], [0, 1]]'],
+                "error: matrix entry must be a number or [re, im] pair: 'a'\n",
+            ),
+        ],
+        ids=["axis-without-angle", "matrix-entry"],
+    )
+    def test_target_error_names_the_flaw(self, argv, err):
+        assert _outcome(argv) == (2, "", err)
+
+    def test_error_line_of_200_characters_is_kept_whole(self):
+        message = "x" * (200 - len("error: "))
+        assert cli._error_line(Exception(message)) == "error: " + message
+        cut = cli._error_line(Exception(message + "y"))
+        assert len(cut) == 200 and cut.endswith("xy") and "..." in cut
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -472,6 +493,43 @@ class TestParserReuse:
         assert main(["verify", "--schedule", "s.json"]) == 0
         assert seen == ["s.json"]
 
+    def test_a_command_line_is_parsed_once_by_its_command_parser(self, monkeypatch, tmp_path):
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting_parse(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+        code, out, _ = _outcome(["compile", "--gate", "H"])
+        assert code == 0 and parsed == ["pulsegate compile"]
+        schedule = tmp_path / "h.json"
+        schedule.write_text(out)
+        for argv in (["verify", "--schedule", str(schedule)], ["compile", "--gate", "X", "--baseline"]):
+            parsed.clear()
+            assert _outcome(argv)[0] == 0
+            assert parsed == [f"pulsegate {argv[0]}"]
+        # the console script calls main() with no argv, so it reads sys.argv
+        monkeypatch.setattr(sys, "argv", ["pulsegate", "verify", "--schedule", str(schedule)])
+        parsed.clear()
+        assert _outcome(None)[0] == 0
+        assert parsed == ["pulsegate verify"]
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ([], "error: the following arguments are required: command\n"),
+            (
+                ["frobnicate"],
+                "error: argument command: invalid choice: 'frobnicate' (choose from 'compile', 'bench', 'verify')\n",
+            ),
+        ],
+        ids=["empty", "unknown-command"],
+    )
+    def test_a_line_without_a_command_gets_the_top_level_error(self, argv, err):
+        assert _outcome(argv) == (2, "", err)
+
 
 # Tokens that parse to a NaN or an infinity; "-inf" and "-Infinity" contain one.
 NONFINITE = ("nan", "NaN", "inf", "Infinity", "1e999")
@@ -668,6 +726,101 @@ class TestCliProperty:
         if code == 0:
             assert err == "", (argv, err)
         return code, out, err
+
+
+def _fields(args: argparse.Namespace) -> str:
+    """The Namespace's fields but `command`, as a string that a NaN value equals."""
+    return repr(sorted((k, v) for k, v in vars(args).items() if k != "command"))
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list[str]) -> tuple[str, str]:
+    """("ok", the fields of the Namespace `parser` returns) or ("error", the ArgumentError's text)."""
+    try:
+        return "ok", _fields(parser.parse_args(argv))
+    except argparse.ArgumentError as exc:
+        return "error", str(exc)
+
+
+_PATHS = st.sampled_from(["s.json", "-s.json", ""])
+# values a space-form parse reads as a flag, or as a value only after "="
+_DASHED = st.sampled_from(["-1", "-0.6,0,0.8", "-inf", "-x", "-", "--"])
+# each command's flags and the strategies of their values; None marks a flag that takes no value
+_COMMAND_FLAGS = {
+    "compile": {**_TARGETS, **_OPTIONS, "--matrix-file": _PATHS, "--baseline": None},
+    "verify": {**_TARGETS, "--angle": _number, "--matrix-file": _PATHS, "--schedule": _PATHS},
+    "bench": {**_BENCH_OPTIONS, "--out": _PATHS},
+}
+# abbreviations argparse expands (--eps, --base, --sch) or finds ambiguous (--ax, --a), and unknown flags
+_ODD_FLAGS = ("--eps", "--ax", "--a", "--base", "--sch", "--form", "--axes-l", "--bogus", "-x")
+
+
+class TestDifferentialParse:
+    """`main` parses a line that starts with a command as the full parser would, or fails as it would."""
+
+    @staticmethod
+    def check(argv: list[str]) -> None:
+        parser = build_parser()
+        full = _parsed(parser, argv)
+        assert _parsed(parser._commands[argv[0]], argv[1:]) == full, argv
+        dispatched = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("cmd_compile", "cmd_bench", "cmd_verify"):
+                mp.setattr(cli, name, lambda args: dispatched.append(_fields(args)) or 0)
+            outcome = _outcome(argv)
+        if full[0] == "ok":
+            assert outcome == (0, "", "") and dispatched == [full[1]], argv
+        else:
+            err = cli._error_line(argparse.ArgumentError(None, full[1])) + "\n"
+            assert outcome == (2, "", err) and dispatched == [], (argv, outcome)
+
+    def test_golden_lines(self):
+        lines = [shlex.split(line)[2:] for line in GOLDEN.read_text().splitlines() if line.startswith("$ ")]
+        assert len(lines) > 100
+        for argv in lines:
+            self.check(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--eps=1e-3", "--ax", "6", "--gate", "H"],
+            ["compile", "--epsilon", "-1", "--gate", "H"],
+            ["compile", "--axis=-0.6,0,0.8", "--angle=-1.3"],
+            ["compile", "--gate", "H", "--gate", "X", "--axes", "6", "--axes=10"],
+            ["compile", "--gate", "H", "--", "--baseline"],
+            ["compile", "--", "--gate", "H"],
+            ["compile", "--gate"],
+            ["compile", "--baseline=1"],
+            ["verify", "--sch", "s.json", "--bogus"],
+            ["verify", "--gate", "H"],
+            ["bench", "--axes-l", "6", "--out"],
+            ["bench", "stray"],
+        ],
+    )
+    def test_listed_line(self, argv):
+        self.check(argv)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_drawn_line(self, data):
+        draw = data.draw
+        command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+        flags = _COMMAND_FLAGS[command]
+        argv = [command]
+        if command == "verify":  # without its required flag, every verify line would fail
+            argv += ["--schedule", "s.json"]
+        known = st.sampled_from(sorted(flags))
+        for name in draw(st.lists(known | known | st.sampled_from(_ODD_FLAGS), max_size=4)):
+            values = flags.get(name, _DASHED | _PATHS)
+            form = draw(st.sampled_from(["=", "=", " ", " ", "missing"]))
+            if values is None or form == "missing":
+                argv.append(name)
+            elif form == "=":
+                argv.append(f"{name}={draw(values)}")
+            else:
+                argv += [name, draw(values | _DASHED)]
+        if not draw(st.integers(0, 5)):
+            argv.insert(draw(st.integers(1, len(argv))), "--")
+        self.check(argv)
 
 
 class TestVerifyRobustness:
@@ -883,6 +1036,13 @@ class TestBenchCommand:
         first = lines[1].split(",")
         assert first[0] == "6" and float(first[1]) == 1e-1
         assert all(line.split(",")[-1] == "0" for line in lines[1:])
+
+    def test_csv_to_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--axes-list", "6", "--eps-decades", "1:1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n_axes,eps_target,eps_mean,dist_mean,pulses_mean,time_mean_s,failures"
+        assert len(lines) == 2 and lines[1].startswith("6,0.1,")
 
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
