@@ -139,11 +139,8 @@ def run_sweep(
 
 
 def _mean(values: Sequence[float]) -> float:
-    """Mean summed left to right from 0.0 (sum() compensates on Python 3.12+); NaN if empty."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total / len(values) if values else math.nan
+    """Mean of a correctly rounded sum (math.fsum); NaN if empty."""
+    return math.fsum(values) / len(values) if values else math.nan
 
 
 def fit_log_model(eps_targets: Sequence[float], ys: Sequence[float]) -> FitResult:

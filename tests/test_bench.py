@@ -1,11 +1,14 @@
 import gc
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pulsegate import bench, evaluation_dataset, fit_log_model, greedy_compile, hs_fidelity, run_sweep
 from pulsegate.bench import InsufficientDataError
+from pulsegate.greedy import CompileError
 from pulsegate.su2 import rx, rz
 
 
@@ -61,6 +64,50 @@ class TestRunSweep:
         assert set(gates) == {(6, 1e-2)}
         assert len(gates[(6, 1e-2)]) == 128
 
+    def test_means_are_correctly_rounded_sums(self):
+        values = (1.0, 1e-16, 1e-16)
+        assert bench._mean(values) == math.fsum(values) / 3 != 1.0 / 3
+        assert math.isnan(bench._mean([]))
+        rows, gates = run_sweep([6], [1e-2, 1e-8], keep_gates=True)
+        for row in rows:
+            cell = gates[(row.n_axes, row.eps_target)]
+            assert row.failures == 0
+            for gate in cell:
+                assert gate.distance == math.fsum(p.angle for p in gate.pulses)
+            assert row.eps_mean == math.fsum(g.epsilon for g in cell) / len(cell)
+            assert row.dist_mean == math.fsum(g.distance for g in cell) / len(cell)
+            assert row.pulses_mean == math.fsum(g.pulse_count for g in cell) / len(cell)
+
+    def test_failed_compiles_are_counted_and_left_out(self, monkeypatch):
+        # a fake clock: a success takes 1 s and a failure 1000 s, so a failure's
+        # time in time_mean_s would show; at eps 1e-3 every compile fails
+        fail = {3, 40, 127}
+        clock = [0.0]
+        index = itertools.count()
+
+        def compile_or_fail(target, axes, config):
+            k = next(index) % 128
+            if config.eps_target == 1e-3 or k in fail:
+                clock[0] += 1000.0
+                raise CompileError("forced", [], 1.0)
+            clock[0] += 1.0
+            return greedy_compile(target, axes, config)
+
+        monkeypatch.setattr(bench, "greedy_compile", compile_or_fail)
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        (row, none_ok), gates = run_sweep([6], [1e-2, 1e-3], keep_gates=True)
+        cell = gates[(6, 1e-2)]
+        assert [k for k, gate in enumerate(cell) if gate is None] == sorted(fail)
+        ok = [gate for gate in cell if gate is not None]
+        assert row.failures == 3 and len(ok) == 125
+        assert row.time_mean_s == 1.0
+        assert row.eps_mean == math.fsum(g.epsilon for g in ok) / 125
+        assert row.dist_mean == math.fsum(g.distance for g in ok) / 125
+        assert row.pulses_mean == math.fsum(g.pulse_count for g in ok) / 125
+        assert none_ok.failures == 128 and gates[(6, 1e-3)] == [None] * 128
+        assert all(math.isnan(x) for x in (none_ok.eps_mean, none_ok.dist_mean,
+                                            none_ok.pulses_mean, none_ok.time_mean_s))
+
     def test_garbage_collection_paused_while_timing(self, monkeypatch):
         # a full collection's pause must not land in a timed cell; the
         # caller's setting comes back afterwards, also after an error
@@ -113,5 +160,6 @@ class TestFitLogModel:
             fit_log_model([1e-1, 1e-2], [1.0, 2.0])
 
     def test_rejects_eps_out_of_range(self):
-        with pytest.raises(ValueError):
-            fit_log_model([1e-1, 1.0, 1e-3], [1.0, 2.0, 3.0])
+        for bad in (1.0, 0.0):
+            with pytest.raises(ValueError, match="must lie in"):
+                fit_log_model([1e-1, bad, 1e-3], [1.0, 2.0, 3.0])

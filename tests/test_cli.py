@@ -980,6 +980,12 @@ def test_flags_and_files_resolve_alike(tmp_path, flags, description, message):
         assert code == 0 and spec.description == {"gate": "H"}
 
 
+def _src_env() -> dict:
+    """The environment for a fresh interpreter that imports this pulsegate."""
+    src = str(Path(pulsegate.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_import_and_usage_errors_load_no_numpy():
     """numpy loads on the first call that builds an array.
 
@@ -1012,10 +1018,26 @@ def test_import_and_usage_errors_load_no_numpy():
             assert main(["compile", "--gate", "H"]) == 0  # one greedy_compile
         assert "numpy" in sys.modules
     """)
-    src = str(Path(pulsegate.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True,
+                          timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_runs_main():
+    # `python -m pulsegate.cli` is the entry a fresh process takes; it prints what `main` does
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "pulsegate.cli", *argv], env=_src_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("compile", "--gate", "H")
+    code, out, _ = _outcome(["compile", "--gate", "H"])
+    assert done.returncode == code == 0, done.stderr
+    got, want = json.loads(done.stdout), json.loads(out)
+    del got["compile_time_s"], want["compile_time_s"]
+    assert got == want
+    done = run()
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: the following arguments are required: command\n"
 
 
 class TestGolden:

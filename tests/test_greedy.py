@@ -644,6 +644,39 @@ class TestGreedyCompile:
         assert len(info.value.steps) == 1
         assert info.value.error == pytest.approx(0.151, abs=5e-4)
 
+    def test_post_pass_miss_fails_loudly(self, monkeypatch):
+        # the finished schedule is re-checked against eps_target + ERROR_SLACK; a miss
+        # raises a plain CompileError with the loop's raw steps and the loop's own error
+        eps, target, axes = 1e-6, rz(0.3) @ rx(1.1), allowed_axes(18)
+        bests, raw = [], []
+        step, finish = greedy.best_axis_step, ir.finish
+
+        def record_step(*args):
+            out = step(*args)
+            bests.append(out[1])
+            return out
+
+        def record_finish(target, steps, *args, **kwargs):
+            raw.append(list(steps))
+            return finish(target, steps, *args, **kwargs)
+
+        monkeypatch.setattr(greedy, "best_axis_step", record_step)
+        monkeypatch.setattr(ir, "finish", record_finish)
+        monkeypatch.setattr(ir, "schedule_error", lambda *args: eps + ir.ERROR_SLACK)
+        gate, _ = greedy_compile(target, axes, GreedyConfig(eps))  # on the bound: accepted
+        assert gate.epsilon == eps + ir.ERROR_SLACK
+        bests.clear()
+        raw.clear()
+        miss = eps + 2 * ir.ERROR_SLACK
+        monkeypatch.setattr(ir, "schedule_error", lambda *args: miss)
+        with pytest.raises(CompileError) as info:
+            greedy_compile(target, axes, GreedyConfig(eps))
+        assert type(info.value) is CompileError
+        assert str(info.value) == f"post-pass error {miss} exceeds target {eps}"
+        [steps] = raw
+        assert info.value.steps == steps and len(steps) > 1
+        assert info.value.error == bests[-1] <= eps
+
     def test_huge_axis_count_compiles(self):
         gate, _ = greedy_compile(rx(1.0), allowed_axes(99_999_999_999), GreedyConfig(1e-10))
         assert gate.pulse_count == 1 and gate.epsilon <= 1e-10

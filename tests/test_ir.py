@@ -22,7 +22,6 @@ from pulsegate.ir import (
     canonical_xy,
     distance,
     schedule_error,
-    step_unitary,
 )
 from pulsegate.su2 import mod_2pi, rotation_unitary, rx, rz, xy_rotation
 
@@ -244,6 +243,12 @@ class TestCostMetrics:
         assert distance([VirtualZ(1.0)]) == 0.0
         assert pulse_count([VirtualZ(0.5), XYPulse(0.0, 1.0), VirtualZ(0.2), XYPulse(1.0, 0.5)]) == 2
 
+    def test_distance_is_the_correctly_rounded_sum(self):
+        # a left-to-right sum (the builtin sum() before Python 3.12) drops both 1e-16s
+        angles = (1.0, 1e-16, 1e-16)
+        got = distance([VirtualZ(0.5), *(XYPulse(0.0, a) for a in angles)])
+        assert got == 1.0000000000000002 == math.fsum(angles)
+
 
 # --------------------------------------------------------------------------
 # The numpy calls and pass-throughs on the compile path, bit for bit against
@@ -309,6 +314,9 @@ class TestNumpyCallsBitForBit:
     @given(SCHEDULES)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_sequence_matches_matmul_fold(self, steps):
+        def step_unitary(step):
+            return rz(step.alpha) if isinstance(step, VirtualZ) else xy_rotation(step.phase, step.angle)
+
         want = step_unitary(steps[0])
         for step in steps[1:]:
             want = step_unitary(step) @ want
