@@ -10,6 +10,7 @@ and `main` alone prints the `error:` line and picks the status.
 
 Schedule files are JSON with fixed keys and shortest round-trip floats
 (`json.dumps`), so serialize -> parse -> serialize is byte-identical.
+`compile` reads no clock: its output is a function of its argv alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import math
 import reprlib
 import sys
-import time
 from dataclasses import dataclass, fields
 
 from . import bench, ir
@@ -202,9 +202,7 @@ def gate_spec_from_json(description) -> GateSpec:
 # output formats
 
 
-def schedule_to_json(
-    spec: GateSpec, n_axes: int, eps_target: float, gate: ir.CompiledGate, compile_time_s: float
-) -> str:
+def schedule_to_json(spec: GateSpec, n_axes: int, eps_target: float, gate: ir.CompiledGate) -> str:
     return json.dumps(
         {
             "target": spec.description,
@@ -216,12 +214,11 @@ def schedule_to_json(
             "distance_rad": gate.distance,
             "pulse_count": gate.pulse_count,
             "iterations": gate.iterations,
-            "compile_time_s": compile_time_s,
         }
     ) + "\n"
 
 
-def schedule_to_text(gate: ir.CompiledGate, compile_time_s: float) -> str:
+def schedule_to_text(gate: ir.CompiledGate) -> str:
     lines = []
     for i, p in enumerate(gate.pulses):
         lines.append(f"pulse {i}: phase {p.phase:.12g} rad, angle {p.angle:.12g} rad")
@@ -230,7 +227,6 @@ def schedule_to_text(gate: ir.CompiledGate, compile_time_s: float) -> str:
     lines.append(f"distance:    {gate.distance:.12g} rad")
     lines.append(f"pulse count: {gate.pulse_count}")
     lines.append(f"iterations:  {gate.iterations}")
-    lines.append(f"time:        {compile_time_s:.6g} s")
     return "\n".join(lines) + "\n"
 
 
@@ -251,18 +247,16 @@ def cmd_compile(args) -> int:
     spec = resolve_gate_spec(args)
     config = GreedyConfig(eps_target=args.epsilon)  # validates --epsilon for --baseline too
     axes = None if args.baseline else allowed_axes(args.axes)
-    t_start = time.perf_counter()
     try:
         gate, _ = u3_compile(spec.unitary) if axes is None else greedy_compile(spec.unitary, axes, config)
     except CompileError as exc:
         steps = len(exc.steps)
         raise CommandError(f"compilation failed: {exc} (best error {exc.error:.12g}, {steps} steps)") from exc
-    seconds = time.perf_counter() - t_start
     n_axes = 0 if axes is None else args.axes
     if args.format == "json":
-        sys.stdout.write(schedule_to_json(spec, n_axes, args.epsilon, gate, seconds))
+        sys.stdout.write(schedule_to_json(spec, n_axes, args.epsilon, gate))
     else:
-        sys.stdout.write(schedule_to_text(gate, seconds))
+        sys.stdout.write(schedule_to_text(gate))
     return 0
 
 

@@ -1,9 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pulsegate import ir, rotation_unitary
+
+# When a @given test fails, hypothesis's pytest plugin imports this module to print
+# a patch. With libcst installed, that import warns that mypy_extensions.TypedDict is
+# deprecated, and under -W error the warning ends the run in INTERNALERROR, so no
+# later test runs. Imported here once with that warning ignored, the module is cached
+# for the plugin. Without libcst the import fails, and the plugin skips the patch too.
+try:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture

@@ -610,6 +610,8 @@ class TestGreedyCompile:
         # reported iterations are the accepted steps
         target = random_unitary(rng)
         cases = [(6, 1e-6)] + [(n, eps) for n in (6, 18, 16386) for eps in (1e-4, 1e-12)]
+        # an eps_target equal to the loop's error after its third step, bit for bit, is met there
+        cases.append((6, replay(target, allowed_axes(6), 1e-6)[2][4]))
         for n_axes, eps in cases:
             axes = allowed_axes(n_axes)
             _, report = greedy_compile(target, axes, GreedyConfig(eps))
@@ -627,7 +629,7 @@ class TestGreedyCompile:
         assert report.post_pass_pulse_count == gate.pulse_count
 
     def test_nan_target_fails_loudly(self):
-        # no axis lowers a NaN error, so the trial angle halves down to the damping floor
+        # no axis lowers a NaN error, and the halved NaN trial angle fails the damping floor test
         target = np.full((2, 2), math.nan, dtype=complex)
         for n_axes in (6, 18, 16386):
             with warnings.catch_warnings():
@@ -635,6 +637,36 @@ class TestGreedyCompile:
                 with pytest.raises(NoProgressError) as info:
                     greedy_compile(target, allowed_axes(n_axes), GreedyConfig(1e-4))
             assert info.value.steps == [] and math.isnan(info.value.error), n_axes
+
+    def test_stalled_step_halves_the_angle_down_to_the_floor(self, monkeypatch):
+        # no candidate lowers the error, so each retry halves the trial angle; this target's
+        # start angle is MIN_ANGLE * 2**40 exactly, and a trial at MIN_ANGLE itself still runs
+        angles = []
+
+        def stalled(state, axes, angle):
+            angles.append(angle)
+            assert len(angles) < 100, "the trial angle does not shrink"
+            return 0, state[1] ** 2 + state[2] ** 2 + state[3] ** 2, state  # the error as it was
+
+        monkeypatch.setattr(greedy, "best_axis_step", stalled)
+        with pytest.raises(NoProgressError) as info:
+            greedy_compile(rx(1.099511627776), allowed_axes(6), GreedyConfig(1e-4))
+        assert info.value.steps == []
+        assert angles == [greedy.MIN_ANGLE * 2.0 ** (40 - k) for k in range(41)]
+
+    def test_damped_steps_are_counted(self, monkeypatch):
+        # the first two trials improve nothing, then the real step runs at a quarter angle
+        step, angles = greedy.best_axis_step, []
+
+        def stall_twice(state, axes, angle):
+            angles.append(angle)
+            return (0, math.inf, state) if len(angles) <= 2 else step(state, axes, angle)
+
+        monkeypatch.setattr(greedy, "best_axis_step", stall_twice)
+        gate, report = greedy_compile(rx(1.0), allowed_axes(6), GreedyConfig(1e-4))
+        assert report.damped_steps == 2
+        assert angles[2] == angles[0] * greedy.DAMPING_FACTOR ** 2
+        assert gate.epsilon <= 1e-4
 
     def test_iteration_budget_fails_loudly(self, monkeypatch):
         monkeypatch.setattr(greedy, "MAX_ITERS", 1)

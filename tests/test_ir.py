@@ -38,6 +38,11 @@ class TestCanonicalization:
         assert p.angle == pytest.approx(0.5 * math.pi)
         assert p.phase == pytest.approx(0.3 + math.pi)
 
+    def test_folded_phase_is_phase_plus_pi_bit_for_bit(self):
+        # phase + pi and phase - pi name one axis but round differently here; schedules
+        # are pinned bit for bit, so the fold is too
+        assert canonical_xy(3.4, 4.0) == XYPulse(0.25840734641020724, 2 * math.pi - 4.0)
+
     def test_xy_folding_preserves_unitary_up_to_phase(self, rng):
         for _ in range(200):
             phase, angle = rng.uniform(0, 2 * math.pi), rng.uniform(-10, 10)
@@ -117,6 +122,9 @@ class TestMergeAdjacent:
         # circular distance 2e-13 across 0/2 pi, not the raw difference 2 pi - 2e-13
         out = merge_adjacent([XYPulse(1e-13, 0.5), XYPulse(2 * math.pi - 1e-13, 0.25)])
         assert out == [XYPulse(1e-13, 0.75)]
+        # in the other order the raw difference folds to 2 pi - 2e-13, which is 2e-13 around the circle
+        out = merge_adjacent([XYPulse(2 * math.pi - 1e-13, 0.5), XYPulse(1e-13, 0.25)])
+        assert out == [XYPulse(2 * math.pi - 1e-13, 0.75)]
 
     def test_virtual_z_merge(self):
         out = merge_adjacent([VirtualZ(0.3), VirtualZ(0.4)])
@@ -126,8 +134,10 @@ class TestMergeAdjacent:
         assert merge_adjacent([XYPulse(0.3, 2 * math.pi)]) == []
 
     def test_different_lines_do_not_merge(self):
-        seq = [XYPulse(0.0, math.pi / 2), VirtualZ(math.pi / 2)]
-        assert merge_adjacent(seq) == seq
+        # the second pair's circular phase distance is exactly PHASE_EPS, outside the strict bound
+        pairs = ([XYPulse(0.0, math.pi / 2), VirtualZ(math.pi / 2)], [XYPulse(1e-12, 0.5), XYPulse(0.0, 0.3)])
+        for seq in pairs:
+            assert merge_adjacent(seq) == seq
 
     def test_antipodal_phases_subtract(self):
         # the last three pairs are antipodal across the 0/2 pi boundary

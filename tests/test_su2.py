@@ -204,6 +204,12 @@ class TestIsUnitary:
         assert is_unitary(u) is accepted
         assert is_unitary(tuple(map(tuple, u.tolist()))) is accepted
 
+    def test_deviation_of_exactly_1e_9_is_accepted(self):
+        # the upper-right entry of u^dag u - I is exactly 1e-9 and the diagonal is exactly 0:
+        # "within 1e-9" includes the bound
+        assert is_unitary(((1.0, 1e-9), (0.0, 1.0))) is True
+        assert is_unitary(((1.0, math.nextafter(1e-9, 1.0)), (0.0, 1.0))) is False
+
     @pytest.mark.parametrize(
         "u", [np.diag([2.5, 0.4]), ((1e308 + 1e308j, 0), (0, 1))], ids=["2.5", "abs-overflows"]
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from pulsegate import hs_fidelity, sequence_unitary, u3_compile
-from pulsegate.ir import XYPulse, pulse_count
+from pulsegate.ir import VirtualZ, XYPulse, pulse_count
 from pulsegate.su2 import euler_matrix, euler_zxz, rx, rz
 from pulsegate.u3 import u3_sequence
 
@@ -31,6 +31,11 @@ class TestU3Sequence:
         h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         seq = u3_sequence(math.pi / 2, 0.0, math.pi)
         assert abs(hs_fidelity(sequence_unitary(seq), h) - 1.0) < 1e-12
+
+    def test_first_shift_is_lam_minus_pi_bit_for_bit(self):
+        # Z_{lam - pi} and Z_{lam + pi} differ by a global phase but round differently
+        # here; schedules are pinned bit for bit, so the shift is too
+        assert u3_sequence(1.0, 0.5, 3.4)[0] == VirtualZ(0.2584073464102068)
 
     def test_identity_angles(self):
         seq = u3_sequence(0.0, 0.0, 0.0)
