@@ -13,8 +13,7 @@ from __future__ import annotations
 import gc
 import math
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .greedy import CompileError, GreedyConfig, allowed_axes, greedy_compile
 from .ir import CompiledGate
@@ -31,8 +30,7 @@ class InsufficientDataError(ValueError):
     """Too few points for a least-squares fit."""
 
 
-@dataclass(frozen=True)
-class EvalTarget:
+class EvalTarget(NamedTuple):
     """One benchmark target: X rotation by theta, then Z rotation by varphi."""
 
     theta: float
@@ -40,8 +38,7 @@ class EvalTarget:
     unitary: np.ndarray
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Aggregate metrics for one (n_axes, eps_target) cell."""
 
     n_axes: int
@@ -53,8 +50,7 @@ class SweepRow:
     failures: int
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     slope: float
     intercept: float
     r2: float

@@ -22,7 +22,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import bench, ir
 from .greedy import CompileError, GreedyConfig, InvalidConfigurationError, allowed_axes, greedy_compile
@@ -77,8 +77,7 @@ def _read_json(error: type[Exception], what: str, *, path: str | None = None, te
         raise error(f"cannot read {what}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(NamedTuple):
     """A resolved target gate, as 2x2 rows of Python complex, plus its normalized JSON description."""
 
     description: dict
@@ -271,9 +270,8 @@ def cmd_bench(args) -> int:
     # each decade is checked as it is made, so a huge HI stops at the floor
     eps_list = [GreedyConfig(10.0 ** (-k)).eps_target for k in range(lo, hi + 1)]
     rows = bench.run_sweep(axes_list, eps_list)
-    names = [f.name for f in fields(bench.SweepRow)]
-    lines = [",".join(names)]
-    lines += [",".join(str(getattr(r, name)) for name in names) for r in rows]
+    lines = [",".join(bench.SweepRow._fields)]
+    lines += [",".join(map(str, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

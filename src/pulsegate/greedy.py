@@ -28,7 +28,8 @@ the virtual-Zs into pulse phases and merges again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 from . import ir
 from .su2 import TWO_PI, entries, quaternion
@@ -81,8 +82,7 @@ class NoProgressError(CompileError):
     """Damping floor reached with no error-lowering axis."""
 
 
-@dataclass(frozen=True)
-class AxisSet:
+class AxisSet(NamedTuple):
     """Allowed axes in set order: +z, -z, then the n_axes - 2 XY phases ascending."""
 
     n_axes: int
@@ -94,6 +94,10 @@ class AxisSet:
 
 def allowed_axes(n_axes: int) -> AxisSet:
     """The axis set {+z, -z} plus n_axes - 2 uniform XY phases; O(1) time and memory."""
+    try:  # an integer, numpy's included: 6.5 axes would give phases that are not uniform
+        n_axes = operator.index(n_axes)
+    except TypeError:
+        raise InvalidConfigurationError(f"n_axes must be an integer, got {n_axes!r}") from None
     # with 4 axes the two XY phases 0 and pi lie on one line, and most targets stall
     if n_axes < 5:
         raise InvalidConfigurationError(f"n_axes must be >= 5, got {n_axes}")
@@ -102,15 +106,15 @@ def allowed_axes(n_axes: int) -> AxisSet:
     return AxisSet(n_axes)
 
 
-@dataclass(frozen=True)
-class GreedyConfig:
+class GreedyConfig(NamedTuple("GreedyConfig", [("eps_target", float)])):
     """Termination threshold for the greedy loop."""
 
-    eps_target: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not EPS_FLOOR <= self.eps_target < 1.0:
+    def __new__(cls, eps_target: float):
+        if not EPS_FLOOR <= eps_target < 1.0:
             raise InvalidConfigurationError(f"eps_target must be in [{EPS_FLOOR:g}, 1)")
+        return super().__new__(cls, eps_target)
 
 
 def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int, float, State]:

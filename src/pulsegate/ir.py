@@ -22,8 +22,7 @@ function of its input; callers that report timing measure the call.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .su2 import TWO_PI, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
 
@@ -40,15 +39,13 @@ PHASE_EPS = 1e-12
 ERROR_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class VirtualZ:
+class VirtualZ(NamedTuple):
     """Zero-cost z-axis frame shift by `alpha` radians."""
 
     alpha: float
 
 
-@dataclass(frozen=True)
-class XYPulse:
+class XYPulse(NamedTuple):
     """Physical rotation by `angle` about the XY-plane axis at `phase`."""
 
     phase: float
@@ -170,28 +167,25 @@ def pulse_count(steps: Iterable[PulseStep]) -> int:
     return sum(1 for s in steps if isinstance(s, XYPulse))
 
 
-@dataclass(frozen=True)
-class CompiledGate:
+class CompiledGate(NamedTuple("CompiledGate", [
+    ("pulses", tuple[XYPulse, ...]), ("frame_phase", float), ("epsilon", float),
+    ("distance", float), ("pulse_count", int), ("iterations", int),
+])):
     """Physical schedule for one target gate plus its achieved metrics."""
 
-    pulses: tuple[XYPulse, ...]
-    frame_phase: float
-    epsilon: float
-    distance: float
-    pulse_count: int
-    iterations: int
-    # Accepted and dropped: compiles hold no clock, and callers that report
-    # timing measure the call. Kept only because perfbench's evaluator test
-    # still builds a CompiledGate with a trailing time; goes with ROADMAP item 1.
-    compile_time: InitVar[float] = 0.0
+    __slots__ = ()
+
+    # A trailing `compile_time` is accepted and dropped, as compiles hold no clock. Kept only
+    # because perfbench's evaluator test still passes one; goes with ROADMAP item 1.
+    def __new__(cls, pulses, frame_phase, epsilon, distance, pulse_count, iterations, compile_time=0.0):
+        return super().__new__(cls, pulses, frame_phase, epsilon, distance, pulse_count, iterations)
 
     def unitary(self) -> np.ndarray:
         """Evaluate pulses followed by the trailing frame shift."""
         return sequence_unitary([*self.pulses, VirtualZ(self.frame_phase)])
 
 
-@dataclass(frozen=True)
-class CompileReport:
+class CompileReport(NamedTuple):
     """Per-compilation diagnostics the gate itself does not carry."""
 
     iterations: int

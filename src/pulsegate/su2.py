@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -127,8 +126,7 @@ def quaternion(u) -> tuple[float, float, float, float]:
     return tuple((x * k).real for x in w)
 
 
-@dataclass(frozen=True)
-class EulerZXZ:
+class EulerZXZ(NamedTuple):
     """ZXZ Euler angles plus the global phase of the source matrix.
 
     theta in [0, pi]; phi, lam, gamma in [0, 2*pi).

@@ -6,7 +6,6 @@ field they use; this pins them.
 """
 
 import ast
-import dataclasses
 import importlib
 import math
 import sys
@@ -14,10 +13,13 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pulsegate as pg
 from pulsegate import bench, ir
-from pulsegate.su2 import rx, rz
+from pulsegate.cli import gate_spec_from_json
+from pulsegate.greedy import InvalidConfigurationError
+from pulsegate.su2 import euler_zxz, rx, rz
 
 
 def test_greedy_compile_surface():
@@ -73,9 +75,7 @@ def test_run_sweep_returns_rows():
 
 
 def python_numbers(value) -> list:
-    """Every number in a result dataclass, its pulses included; fails on anything else."""
-    if dataclasses.is_dataclass(value):
-        return [x for f in dataclasses.fields(value) for x in python_numbers(getattr(value, f.name))]
+    """Every number in a result record (a tuple), its pulses included; fails on anything else."""
     if isinstance(value, tuple):
         return [x for item in value for x in python_numbers(item)]
     # exact types: numpy's float64 is a subclass of float
@@ -91,6 +91,11 @@ def test_every_result_number_is_a_python_float_or_int():
     for result in results:
         assert python_numbers(result)
         assert "np." not in repr(result), repr(result)
+    gate = results[0]
+    for planted in (ir.CompiledGate(gate.pulses, gate.frame_phase, np.float64(gate.epsilon), *gate[3:]),
+                    ir.CompiledGate((pg.XYPulse(np.float64(0.5), 1.0),), *gate[1:])):
+        with pytest.raises(AssertionError):
+            python_numbers(planted)
     exact = [pg.XYPulse(0.0, 0.05)]
     assert pg.hs_fidelity(rx(0.05), pg.sequence_unitary(exact)) > 1.0
     values = [pg.hs_fidelity(rx(0.05), rx(0.7)), pg.hs_fidelity(np.eye(2), np.eye(2)),
@@ -100,6 +105,29 @@ def test_every_result_number_is_a_python_float_or_int():
               ir.schedule_error(rx(0.05), exact, np.nan)]
     assert [type(x) for x in values] == [float] * len(values)
     assert values[-2] == 0.0 and math.isnan(values[2]) and math.isnan(values[-1])
+
+
+def test_result_records_are_immutable_and_print_their_fields():
+    gate, report = pg.greedy_compile(rx(0.7), pg.allowed_axes(18), pg.GreedyConfig(1e-8))
+    records = [gate, report, gate.pulses[0], ir.VirtualZ(0.5), pg.allowed_axes(6), pg.GreedyConfig(0.1),
+               euler_zxz(rx(0.7)), *bench.run_sweep([6], [1e-1]), bench.evaluation_dataset()[1],
+               pg.fit_log_model([1e-1, 1e-2, 1e-3], [1.0, 2.0, 3.5]), gate_spec_from_json({"gate": "H"})]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    # the range check holds however the threshold is passed
+    for make in (lambda: pg.GreedyConfig(2.0), lambda: pg.GreedyConfig(eps_target=2.0)):
+        with pytest.raises(InvalidConfigurationError):
+            make()
+    # a trailing compile time is accepted and dropped
+    timed = ir.CompiledGate(*gate, 0.0)
+    assert type(timed) is ir.CompiledGate and timed == gate and hash(timed) == hash(gate)
+    assert "compile_time" not in repr(timed) and repr(timed) == repr(gate)
+    assert repr(pg.XYPulse(0.5, 1.0)) == "XYPulse(phase=0.5, angle=1.0)"
+    assert repr(pg.GreedyConfig(0.1)) == "GreedyConfig(eps_target=0.1)"
+    # `pulsegate bench` prints one CSV column per field, in field order
+    header = "n_axes,eps_target,eps_mean,dist_mean,pulses_mean,time_mean_s,failures"
+    assert bench.SweepRow._fields == tuple(header.split(","))
 
 
 # --------------------------------------------------------------------------

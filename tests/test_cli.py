@@ -1016,6 +1016,8 @@ def test_import_and_usage_errors_load_no_numpy():
             else:
                 raise AssertionError("-h did not exit")
             assert "numpy" not in sys.modules, "numpy loaded before any array was built"
+            # nor the record machinery of dataclasses, which brings inspect, ast and dis along
+            assert not {"dataclasses", "inspect"} & set(sys.modules), "dataclasses or inspect loaded"
             assert main(["compile", "--gate", "H"]) == 0  # one greedy_compile
         assert "numpy" in sys.modules
     """)

@@ -139,6 +139,14 @@ class TestAllowedAxes:
             allowed_axes(4)
         assert allowed_axes(5).n_axes == 5
 
+    def test_count_must_be_an_integer(self):
+        # a float count once built fractional "uniform" phases: 6.5 gave a first XY phase of 0.2963
+        for bad in (6.5, 6.0, "6", None, math.nan):
+            with pytest.raises(InvalidConfigurationError, match="integer"):
+                allowed_axes(bad)
+        axes = allowed_axes(np.int64(6))  # numpy's integers are read as Python ints
+        assert axes == allowed_axes(6) and type(axes.n_axes) is int and type(axes.phase(3)) is float
+
     def test_nesting(self):
         sets = {}
         for n in (6, 10, 18, 34):
