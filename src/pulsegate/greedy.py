@@ -112,6 +112,11 @@ class GreedyConfig(NamedTuple("GreedyConfig", [("eps_target", float)])):
     __slots__ = ()
 
     def __new__(cls, eps_target: float):
+        if type(eps_target) is not float:  # any real number, numpy's included, is stored as a float
+            import numbers  # only here, so that `import pulsegate` does not load it
+            if not isinstance(eps_target, numbers.Real):
+                raise InvalidConfigurationError(f"eps_target must be a real number, got {eps_target!r}")
+            eps_target = float(eps_target)
         if not EPS_FLOOR <= eps_target < 1.0:
             raise InvalidConfigurationError(f"eps_target must be in [{EPS_FLOOR:g}, 1)")
         return super().__new__(cls, eps_target)

@@ -157,14 +157,20 @@ def absorb_virtual_z(steps: PulseSequence) -> tuple[list[XYPulse], float]:
     return pulses, mod_2pi(z_acc)
 
 
+def _costs(steps: Iterable[PulseStep]) -> tuple[float, int]:
+    """(distance, pulse count) of `steps` from one walk over its physical pulse angles."""
+    angles = [step.angle for step in steps if isinstance(step, XYPulse)]
+    return math.fsum(angles), len(angles)
+
+
 def distance(steps: Iterable[PulseStep]) -> float:
     """Total physical rotation distance, correctly rounded (math.fsum); virtual-Z steps are free."""
-    return math.fsum(s.angle for s in steps if isinstance(s, XYPulse))
+    return _costs(steps)[0]
 
 
 def pulse_count(steps: Iterable[PulseStep]) -> int:
     """Number of physical pulses; virtual-Z steps are free."""
-    return sum(1 for s in steps if isinstance(s, XYPulse))
+    return _costs(steps)[1]
 
 
 class CompiledGate(NamedTuple("CompiledGate", [
@@ -212,25 +218,12 @@ def finish(
     """Run the finishing passes on `steps`, evaluate the result and package it with its report.
 
     With `merge` the passes are merge_adjacent, absorb_virtual_z, merge_adjacent;
-    without it absorb_virtual_z alone.
+    without it absorb_virtual_z alone. The report's pre-pass distance and pulse
+    count come from one walk over `steps`, the gate's from the finished pulses.
     """
     pulses, frame_phase = absorb_virtual_z(merge_adjacent(steps) if merge else steps)
     if merge:
         pulses = merge_adjacent(pulses)
-    epsilon = schedule_error(target, pulses, frame_phase)
-    gate = CompiledGate(
-        pulses=tuple(pulses),
-        frame_phase=frame_phase,
-        epsilon=epsilon,
-        distance=distance(pulses),
-        pulse_count=len(pulses),
-        iterations=iterations,
-    )
-    report = CompileReport(
-        iterations=iterations,
-        damped_steps=damped_steps,
-        pre_pass_distance=distance(steps),
-        pre_pass_pulse_count=pulse_count(steps),
-        post_pass_pulse_count=gate.pulse_count,
-    )
-    return gate, report
+    gate = CompiledGate(tuple(pulses), frame_phase, schedule_error(target, pulses, frame_phase),
+                        distance(pulses), len(pulses), iterations)
+    return gate, CompileReport(iterations, damped_steps, *_costs(steps), len(pulses))

@@ -123,7 +123,8 @@ def quaternion(u) -> tuple[float, float, float, float]:
     w = ((u00 + u11) / 2, 1j * (u01 + u10) / 2, (u10 - u01) / 2, 1j * (u00 - u11) / 2)
     big = max(w, key=abs)
     k = big.conjugate() / abs(big) if big else 1.0
-    return tuple((x * k).real for x in w)
+    w0, wx, wy, wz = w
+    return (w0 * k).real, (wx * k).real, (wy * k).real, (wz * k).real
 
 
 class EulerZXZ(NamedTuple):

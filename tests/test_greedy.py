@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pulsegate import (
     greedy_compile,
     hs_fidelity,
     rotation_unitary,
+    run_sweep,
     u3_compile,
 )
 from pulsegate import greedy, ir
@@ -195,6 +197,20 @@ class TestConfig:
     def test_rejects_eps_one(self):
         with pytest.raises(InvalidConfigurationError):
             GreedyConfig(1.0)
+
+    def test_eps_target_must_be_a_real_number(self):
+        # a string used to raise a bare TypeError from the range check, and a numpy float was
+        # stored as it came, so a sweep row printed eps_target=np.float64(0.01)
+        for bad in ("1e-3", None, 1e-3 + 0j, [1e-3]):
+            with pytest.raises(InvalidConfigurationError, match="real number"):
+                GreedyConfig(bad)
+        for real in (np.float64(1e-3), np.float32(0.25), Fraction(1, 1000), 1e-3):
+            config = GreedyConfig(real)
+            assert type(config.eps_target) is float and config.eps_target == float(real)
+        with pytest.raises(InvalidConfigurationError, match="must be in"):
+            GreedyConfig(np.float64(2.0))
+        [row] = run_sweep([6], np.array([1e-2]))
+        assert type(row.eps_target) is float and "np." not in repr(row)
 
 
 class TestBestAxisStep:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pulsegate import (
@@ -21,6 +21,7 @@ from pulsegate.ir import (
     canonical_virtual_z,
     canonical_xy,
     distance,
+    finish,
     schedule_error,
 )
 from pulsegate.su2 import mod_2pi, rotation_unitary, rx, rz, xy_rotation
@@ -352,3 +353,23 @@ class TestNumpyCallsBitForBit:
             want, want_frame = absorb_by_shift_rule(seq)
             assert pulses == want and exact(pulses) == exact(want)
             assert frame.hex() == want_frame.hex()
+
+
+class TestFinishCounts:
+    """finish's cost numbers against their definitions, on raw and on finished steps."""
+
+    @given(st.one_of(st.lists(STEPS, max_size=10), st.lists(st.builds(VirtualZ, ANGLES), max_size=4)),
+           st.booleans())
+    @example([], True)
+    @example([], False)
+    @example([VirtualZ(-1.0), VirtualZ(4.0)], True)
+    @example([XYPulse(0.3, -1.0), VirtualZ(0.5), XYPulse(7.0, 1.5), XYPulse(0.0, 0.0)], False)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_finish_counts_raw_steps_and_finished_pulses(self, steps, merge):
+        gate, report = finish(np.eye(2), steps, 7, 3, merge=merge)
+        raw_angles = [step.angle for step in steps if isinstance(step, XYPulse)]
+        assert report.pre_pass_distance == math.fsum(raw_angles)
+        assert report.pre_pass_pulse_count == len(raw_angles)
+        assert gate.distance == math.fsum([pulse.angle for pulse in gate.pulses])
+        assert gate.pulse_count == len(gate.pulses) == report.post_pass_pulse_count
+        assert (gate.iterations, report.iterations, report.damped_steps) == (7, 7, 3)

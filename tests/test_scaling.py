@@ -5,6 +5,8 @@ than wall-clock time, so the verdict does not depend on machine load. It
 sits next to acceptance criterion 5, which fits the timed sweep.
 """
 
+import math
+
 import pytest
 
 from pulsegate import fit_log_model, run_sweep
@@ -103,3 +105,32 @@ def test_prefactors_are_small(prefactor_cells, n_axes):
         iterations.append(sum(g.iterations for g in cell) / len(cell))
     assert fit_log_model(PREFACTOR_EPS, pulses).slope < MAX_PULSES_PER_DECADE, n_axes
     assert fit_log_model(PREFACTOR_EPS, iterations).slope < MAX_ITERATIONS_PER_DECADE, n_axes
+
+
+# Gate time, not only distance. With a bandwidth limit each physical pulse
+# carries a fixed overhead tau, so at the largest Rabi rate Omega a schedule
+# takes distance / Omega + N tau. The U3 baseline is 2 pulses and pi rad, so
+# a cell's mean schedule beats it in time exactly when
+# tau Omega < (pi - dist_mean) / (pulses_mean - 2), and for every tau when
+# pulses_mean <= 2 ("any"). The break-even is in radians of rotation per
+# extra pulse; the README prints this table beside the balance point.
+BREAK_EVEN_EPS = (1e-2, 1e-4, 1e-8)
+BREAK_EVEN = {
+    6: ("any", 1.390, 0.253),
+    10: ("any", 4.400, 0.460),
+    18: ("any", "any", 0.921),
+    34: ("any", "any", 1.254),
+}
+
+
+def break_even(row):
+    if row.pulses_mean <= 2.0:
+        return "any"
+    return round((math.pi - row.dist_mean) / (row.pulses_mean - 2.0), 3)
+
+
+def test_time_break_even_against_u3():
+    rows = run_sweep(list(BREAK_EVEN), BREAK_EVEN_EPS)
+    assert all(r.failures == 0 for r in rows)
+    got = {n_axes: tuple(break_even(r) for r in rows if r.n_axes == n_axes) for n_axes in BREAK_EVEN}
+    assert got == BREAK_EVEN
