@@ -140,10 +140,17 @@ def _numbers(description: dict, key: str, count: int) -> list[float]:
     return [_number(x, key) for x in values]
 
 
+def _float(x) -> float:
+    """float(x), but not of a bool: float() reads JSON true and false as 1 and 0."""
+    if isinstance(x, bool):
+        raise TypeError(f"not a number: {x!r}")
+    return float(x)
+
+
 def _number(x, key: str) -> float:
     """`x` as a finite float; an error names the key it came from."""
     try:
-        value = float(x)
+        value = _float(x)
     except (TypeError, ValueError, OverflowError):
         raise GateSpecError(f"malformed number in {key}: {_ECHO.repr(x)}") from None
     if not math.isfinite(value):
@@ -288,11 +295,11 @@ def cmd_verify(args) -> int:
     doc = _read_json(CommandError, "schedule", path=args.schedule)
     given = any(getattr(args, name) is not None for name in TARGET_FLAGS)
     try:
-        pulses = [ir.XYPulse(float(p["phase_rad"]), float(p["angle_rad"])) for p in doc["pulses"]]
-        frame = float(doc["frame_phase_rad"])
+        pulses = [ir.XYPulse(_float(p["phase_rad"]), _float(p["angle_rad"])) for p in doc["pulses"]]
+        frame = _float(doc["frame_phase_rad"])
         if any(math.isinf(x) for x in (frame, *(v for p in pulses for v in (p.phase, p.angle)))):
             raise ValueError("pulse and frame numbers must not be infinite")
-        declared, eps_target = float(doc["epsilon"]), float(doc["eps_target"])
+        declared, eps_target = _float(doc["epsilon"]), _float(doc["eps_target"])
         # both, not only their min: min(declared, nan) is declared
         if not (math.isfinite(declared) and math.isfinite(eps_target)):
             raise ValueError("epsilon and eps_target must be finite")

@@ -21,8 +21,8 @@ of the set.
 Allowed axes are the +/- z lines plus n_axes - 2 >= 3 phases uniform on
 the XY-plane, so +/-x and +/-y are always present when 4 | (n_axes - 2).
 An axis is its index in set order. Z-line steps are recorded as free
-virtual-Z shifts; `ir.finish` then merges adjacent rotations, absorbs
-the virtual-Zs into pulse phases and merges again.
+virtual-Z shifts; `ir.finish` then absorbs the virtual-Zs into pulse
+phases and merges adjacent rotations.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def greedy_compile(
     Accepted steps strictly lower the error, so the loop terminates on
     the error test on the common path; MAX_ITERS and the damping floor
     are safety nets, and a non-finite target stops at the damping floor.
-    `ir.finish` runs the finishing passes (merge, absorb, merge), which
+    `ir.finish` runs the finishing passes (absorb, then merge), which
     are exact, and the final gate is re-verified against the target.
     """
     t00, t01, t10, t11 = entries(target)

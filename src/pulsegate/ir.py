@@ -80,10 +80,9 @@ def canonical_virtual_z(alpha: float) -> Optional[VirtualZ]:
 
 
 def canonical_step(step: PulseStep) -> Optional[PulseStep]:
-    # already canonical: folding would give back the same floats (phase 0 still folds, so
-    # that -0.0 becomes 0.0, and so does a negative shift, whose trip through 2 pi rounds)
     if isinstance(step, VirtualZ):
-        return step if ANGLE_EPS <= step.alpha <= math.pi else canonical_virtual_z(step.alpha)
+        return canonical_virtual_z(step.alpha)
+    # already canonical: folding would give back the same floats (phase 0 still folds: -0.0 to 0.0)
     if 0.0 < step.phase < TWO_PI and ANGLE_EPS <= step.angle <= math.pi:
         return step
     return canonical_xy(step.phase, step.angle)
@@ -141,17 +140,16 @@ def absorb_virtual_z(steps: PulseSequence) -> tuple[list[XYPulse], float]:
     pulse at phase phi - z followed by the same shift; scanning in time
     order leaves only physical pulses plus one trailing frame phase.
     Returns (pulses, frame_phase in [0, 2*pi)). Absorption can make
-    pulses coaxial and adjacent; `finish` folds them with a second
-    merge_adjacent when its caller asks for merging.
+    pulses coaxial and adjacent; `finish` folds them with merge_adjacent
+    when its caller asks for merging.
     """
     z_acc = 0.0
     pulses: list[XYPulse] = []
     for step in steps:
         if isinstance(step, VirtualZ):
             z_acc += step.alpha
-        else:  # with nothing to absorb yet, canonical_step passes a canonical pulse unchanged
-            shifted = (canonical_step(step) if z_acc == 0.0
-                       else canonical_xy(step.phase - z_acc, step.angle))
+        else:
+            shifted = canonical_xy(step.phase - z_acc, step.angle)
             if shifted is not None:
                 pulses.append(shifted)
     return pulses, mod_2pi(z_acc)
@@ -217,11 +215,11 @@ def finish(
 ) -> tuple[CompiledGate, CompileReport]:
     """Run the finishing passes on `steps`, evaluate the result and package it with its report.
 
-    With `merge` the passes are merge_adjacent, absorb_virtual_z, merge_adjacent;
-    without it absorb_virtual_z alone. The report's pre-pass distance and pulse
-    count come from one walk over `steps`, the gate's from the finished pulses.
+    The passes are absorb_virtual_z, then merge_adjacent when `merge` is set.
+    The report's pre-pass distance and pulse count come from one walk over
+    `steps`, the gate's from the finished pulses.
     """
-    pulses, frame_phase = absorb_virtual_z(merge_adjacent(steps) if merge else steps)
+    pulses, frame_phase = absorb_virtual_z(steps)
     if merge:
         pulses = merge_adjacent(pulses)
     gate = CompiledGate(tuple(pulses), frame_phase, schedule_error(target, pulses, frame_phase),

@@ -225,8 +225,8 @@ def test_grid_compiles_reach_every_greedy_hook(monkeypatch):
         pg.greedy_compile(target.unitary, axes, config)
     assert len(dataset) == 128
     assert sorted(h for h in hooks if not calls[h]) == []
-    # the per-layer ir.*.calls metrics: merge, absorb, merge per compile
-    assert (calls["ir.merge_adjacent"], calls["ir.absorb_virtual_z"]) == (2 * 128, 128)
+    # the per-layer ir.*.calls metrics: absorb, then merge per compile
+    assert (calls["ir.merge_adjacent"], calls["ir.absorb_virtual_z"]) == (128, 128)
 
 
 def test_cli_roundtrip_reaches_every_hook(monkeypatch, tmp_path, capsys):
@@ -241,5 +241,5 @@ def test_cli_roundtrip_reaches_every_hook(monkeypatch, tmp_path, capsys):
     assert cli.main(["verify", "--schedule", str(schedule)]) == 0
     assert cli.main(["compile", target, "--baseline"]) == 0
     assert sorted(h for h in hooks if not calls[h]) == []
-    # the greedy compile merges twice and absorbs once, the baseline absorbs only
-    assert (calls["ir.merge_adjacent"], calls["ir.absorb_virtual_z"]) == (2, 2)
+    # the greedy compile absorbs and merges once each, the baseline absorbs only
+    assert (calls["ir.merge_adjacent"], calls["ir.absorb_virtual_z"]) == (1, 2)

@@ -872,6 +872,19 @@ class TestVerifyRobustness:
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["phase_rad", "angle_rad", "frame_phase_rad", "epsilon", "eps_target"])
+    def test_boolean_is_malformed(self, capsys, tmp_path, field, value):
+        # Python's bool is an int, but a JSON true or false is not a number
+        doc = self.schedule(capsys, tmp_path)
+        if field in ("phase_rad", "angle_rad"):
+            doc["pulses"][0][field] = value
+        else:
+            doc[field] = value
+        code, out, err = self.verify(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["epsilon", "eps_target"])
     def test_non_finite_epsilon_is_malformed(self, capsys, tmp_path, field, value):
@@ -948,6 +961,14 @@ TARGET_FORMS = [
     pytest.param(None, {"matrix": [1, 2]}, "matrix must be 2x2", id="matrix-flat"),
     pytest.param(None, {"matrix": [[["a", 0], 0], [0, 1]]}, "malformed number in matrix: 'a'",
                  id="matrix-pair-string"),
+    # a JSON true or false is not a number, though Python's bool is an int
+    pytest.param(None, {"matrix": [[True, False], [False, True]]}, "malformed number in matrix: True",
+                 id="matrix-bool"),
+    pytest.param(None, {"matrix": [[[1, False], 0], [0, 1]]}, "malformed number in matrix: False",
+                 id="matrix-pair-bool"),
+    pytest.param(None, {"axis": [0, 0, 1], "angle": True}, "malformed number in angle: True", id="angle-bool"),
+    pytest.param(None, {"axis": [0, False, 1], "angle": 1}, "malformed number in axis: False", id="axis-bool"),
+    pytest.param(None, {"euler": [1, True, 3]}, "malformed number in euler: True", id="euler-bool"),
 ]
 
 

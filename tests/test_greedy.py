@@ -35,6 +35,7 @@ from pulsegate.greedy import (
 from pulsegate.su2 import quaternion, rx, rz, xy_rotation
 
 from conftest import random_unitary
+from test_grid_schedules import haar_targets
 
 
 def unit_vector(axes, i):
@@ -793,6 +794,40 @@ class TestFinishingPasses:
                 assert len(raw) == len(epsilons)
                 for coarse, fine in zip(raw, raw[1:]):
                     assert fine[:len(coarse)] == coarse, (n_axes, 4 * k)
+
+    def test_absorb_then_merge_matches_merging_before_absorbing_too(self, monkeypatch):
+        # a merge of the raw steps before absorbing them folds no greedy step: without it,
+        # counts, angles, distance and report are the same bits, and only the rounding of
+        # the frame shifts moves phases, frame and epsilon in their last bits
+        raw, finish = [], ir.finish
+
+        def spy(target, steps, iterations, damped_steps, **kwargs):
+            raw.append((list(steps), damped_steps))
+            return finish(target, steps, iterations, damped_steps, **kwargs)
+
+        def turn(a, b):
+            return abs(math.remainder(a - b, 2 * math.pi))
+
+        monkeypatch.setattr(ir, "finish", spy)
+        targets = [t.unitary for t in evaluation_dataset()] + haar_targets(48, seed=5)
+        for n_axes in (6, 18, 16386):
+            axes = allowed_axes(n_axes)
+            for eps in (1e-2, 1e-8, 1e-16):
+                for k, target in enumerate(targets):
+                    raw.clear()
+                    gate, report = greedy_compile(target, axes, GreedyConfig(eps))
+                    [(steps, damped)] = raw
+                    pulses, frame = ir.absorb_virtual_z(ir.merge_adjacent(steps))
+                    pulses = ir.merge_adjacent(pulses)
+                    where = (n_axes, eps, k)
+                    assert [p.angle.hex() for p in gate.pulses] == [p.angle.hex() for p in pulses], where
+                    assert gate.distance.hex() == ir.distance(pulses).hex(), where
+                    assert gate.iterations == len(steps), where
+                    assert report == ir.CompileReport(len(steps), damped, ir.distance(steps),
+                                                      ir.pulse_count(steps), len(pulses)), where
+                    assert all(turn(p.phase, q.phase) <= 1e-14 for p, q in zip(gate.pulses, pulses)), where
+                    assert turn(gate.frame_phase, frame) <= 1e-14, where
+                    assert abs(gate.epsilon - ir.schedule_error(target, pulses, frame)) <= 1e-15, where
 
 
 # Haar-random unit quaternions (Shoemake's construction from three uniform draws)

@@ -347,7 +347,7 @@ class TestNumpyCallsBitForBit:
     @given(SCHEDULES)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_absorb_matches_shift_rule(self, steps):
-        # raw steps, and the canonical ones the greedy hands over after merging
+        # raw steps, as the greedy hands them over, and canonical ones after merging
         for seq in (steps, merge_adjacent(steps)):
             pulses, frame = absorb_virtual_z(seq)
             want, want_frame = absorb_by_shift_rule(seq)
