@@ -140,17 +140,19 @@ def _numbers(description: dict, key: str, count: int) -> list[float]:
     return [_number(x, key) for x in values]
 
 
-def _float(x) -> float:
-    """float(x), but not of a bool: float() reads JSON true and false as 1 and 0."""
-    if isinstance(x, bool):
+def _json_float(x) -> float:
+    """A JSON number as a float: float() would also read a string, and true and false as 1 and 0."""
+    if type(x) not in (int, float):
         raise TypeError(f"not a number: {x!r}")
     return float(x)
 
 
 def _number(x, key: str) -> float:
-    """`x` as a finite float; an error names the key it came from."""
+    """`x`, a number or a string (the flag forms pass strings), as a finite float; an error names the key."""
     try:
-        value = _float(x)
+        if isinstance(x, bool):  # Python's bool is an int, but a JSON true or false is not a number
+            raise TypeError
+        value = float(x)
     except (TypeError, ValueError, OverflowError):
         raise GateSpecError(f"malformed number in {key}: {_ECHO.repr(x)}") from None
     if not math.isfinite(value):
@@ -244,7 +246,7 @@ def _add_gate_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gate", help="named gate: " + ", ".join(NAMED_GATES))
     p.add_argument("--euler", metavar="T,P,L", help="ZXZ Euler angles in radians")
     p.add_argument("--axis", metavar="NX,NY,NZ", help="rotation axis (unit vector)")
-    p.add_argument("--angle", type=float, help="rotation angle for --axis, radians")
+    p.add_argument("--angle", help="rotation angle for --axis, radians")
     p.add_argument("--matrix", help="inline 2x2 matrix as JSON")
     p.add_argument("--matrix-file", help="path to a JSON 2x2 matrix")
 
@@ -295,11 +297,11 @@ def cmd_verify(args) -> int:
     doc = _read_json(CommandError, "schedule", path=args.schedule)
     given = any(getattr(args, name) is not None for name in TARGET_FLAGS)
     try:
-        pulses = [ir.XYPulse(_float(p["phase_rad"]), _float(p["angle_rad"])) for p in doc["pulses"]]
-        frame = _float(doc["frame_phase_rad"])
+        pulses = [ir.XYPulse(_json_float(p["phase_rad"]), _json_float(p["angle_rad"])) for p in doc["pulses"]]
+        frame = _json_float(doc["frame_phase_rad"])
         if any(math.isinf(x) for x in (frame, *(v for p in pulses for v in (p.phase, p.angle)))):
             raise ValueError("pulse and frame numbers must not be infinite")
-        declared, eps_target = _float(doc["epsilon"]), _float(doc["eps_target"])
+        declared, eps_target = _json_float(doc["epsilon"]), _json_float(doc["eps_target"])
         # both, not only their min: min(declared, nan) is declared
         if not (math.isfinite(declared) and math.isfinite(eps_target)):
             raise ValueError("epsilon and eps_target must be finite")

@@ -131,11 +131,12 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
     vector part. Each candidate is scored in closed form, without the
     terms of n that are zero:
       +/-z:          b = (c ax -/+ s ay, c ay +/- s ax, c az +/- s a0),
-                     b0 = c a0 -/+ s az;
+                     n.a = +/- az;
       XY phase phi:  n = (cos phi, sin phi, 0),
                      b = (c ax + s (a0 nx + ny az), c ay + s (a0 ny - nx az),
                           c az + s (nx ay - ny ax)),
-                     b0 = c a0 - s (nx ax + ny ay).
+                     n.a = nx ax + ny ay.
+    The winner keeps its n.a, and its new scalar part is b0 = c a0 - s n.a.
     Only +/-z and the XY phase indices lo, lo + 1 around psi and hi,
     hi + 1 around psi + pi are scored, in set order (a non-finite state
     scores only +/-z). Here lo = floor(psi m / 2 pi), and that product
@@ -152,13 +153,14 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
     cx, cy, cz = c * ax, c * ay, c * az
     margin = TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
     sx, sy, s0 = s * ax, s * ay, s * a0
-    # +z (index 0) is the first candidate, then -z (index 1)
+    # +z (index 0) is the first candidate, then -z (index 1); `best` is the
+    # winner's (n.a, bx, by, bz)
     bx, by, bz = cx - sy, cy + sx, cz + s0
-    best_i, best_error, best_b = 0, bx * bx + by * by + bz * bz, (bx, by, bz)
+    best_i, best_error, best = 0, bx * bx + by * by + bz * bz, (az, bx, by, bz)
     bx, by, bz = cx + sy, cy - sx, cz - s0
     error = bx * bx + by * by + bz * bz
     if error < best_error - margin:
-        best_i, best_error, best_b = 1, error, (bx, by, bz)
+        best_i, best_error, best = 1, error, (-az, bx, by, bz)
     psi = math.atan2(ay, ax)
     if math.isfinite(psi):
         m = axes.n_axes - 2
@@ -172,15 +174,9 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
             bz = cz + s * (nx * ay - ny * ax)
             error = bx * bx + by * by + bz * bz
             if error < best_error - margin:
-                best_i, best_error, best_n, best_b = 2 + j, error, (nx, ny), (bx, by, bz)
-    if best_i == 0:
-        b0 = c * a0 - s * az
-    elif best_i == 1:
-        b0 = c * a0 + s * az
-    else:
-        nx, ny = best_n
-        b0 = c * a0 - s * (nx * ax + ny * ay)
-    return best_i, best_error, (b0, *best_b)
+                best_i, best_error, best = 2 + j, error, (nx * ax + ny * ay, bx, by, bz)
+    na, bx, by, bz = best
+    return best_i, best_error, (c * a0 - s * na, bx, by, bz)
 
 
 def greedy_compile(

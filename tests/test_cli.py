@@ -872,10 +872,11 @@ class TestVerifyRobustness:
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("value", [True, False, "0.5", " 1_0 "])
     @pytest.mark.parametrize("field", ["phase_rad", "angle_rad", "frame_phase_rad", "epsilon", "eps_target"])
     def test_boolean_is_malformed(self, capsys, tmp_path, field, value):
-        # Python's bool is an int, but a JSON true or false is not a number
+        # and any other non-number: Python's bool is an int, and float() reads
+        # strings, but a JSON true, false or string is not a number
         doc = self.schedule(capsys, tmp_path)
         if field in ("phase_rad", "angle_rad"):
             doc["pulses"][0][field] = value
@@ -946,7 +947,8 @@ TARGET_FORMS = [
     pytest.param(None, {"gate": {"a": 1}}, "gate needs a name, got {'a': 1}", id="gate-dict"),
     pytest.param(None, {"gate": None}, "gate needs a name, got None", id="gate-null"),
     pytest.param(None, {"axis": [0, 0, 1]}, 'axis target needs "angle"', id="axis-no-angle"),
-    pytest.param(None, {"axis": [0, 0, 1], "angle": "x"}, "malformed number in angle: 'x'", id="angle-number"),
+    pytest.param(["--axis=0,0,1", "--angle=x"], {"axis": [0, 0, 1], "angle": "x"}, "malformed number in angle: 'x'",
+                 id="angle-number"),
     pytest.param(None, {"axis": [0, 0, 1], "angle": None}, "malformed number in angle: None", id="angle-null"),
     pytest.param(None, {"euler": 5}, "euler needs a list of 3 numbers, got 5", id="euler-not-a-list"),
     pytest.param(None, {"euler": "1,2,3"}, "euler needs a list of 3 numbers, got '1,2,3'", id="euler-string"),
