@@ -140,11 +140,17 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def fit_log_model(eps_targets: Sequence[float], ys: Sequence[float]) -> FitResult:
-    """Ordinary least squares of y = slope * log10(1/eps) + intercept."""
+    """Ordinary least squares of y = slope * log10(1/eps) + intercept.
+
+    Raises ValueError for an eps outside (0, 1) or a non-finite y, such as the
+    NaN mean of a sweep cell whose every compile failed.
+    """
     if len(eps_targets) < 3 or len(ys) != len(eps_targets):
         raise InsufficientDataError("need at least 3 matched (eps, y) points")
     if any(not 0.0 < e < 1.0 for e in eps_targets):
         raise ValueError("eps_targets must lie in (0, 1)")
+    if not all(map(math.isfinite, ys)):
+        raise ValueError("ys must be finite")
     import numpy as np
     x = np.log10(1.0 / np.asarray(eps_targets, dtype=float))
     y = np.asarray(ys, dtype=float)

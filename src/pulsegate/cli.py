@@ -85,7 +85,7 @@ class GateSpec(NamedTuple):
 
 
 def _matrix_from_json(data) -> tuple[tuple[complex, ...], ...]:
-    """Accept [[a, b], [c, d]] with entries as numbers or [re, im] pairs."""
+    """Accept [[a, b], [c, d]] with entries as JSON numbers or [re, im] pairs of them."""
 
     def pair(x) -> bool:
         return isinstance(x, list) and len(x) == 2
@@ -93,8 +93,8 @@ def _matrix_from_json(data) -> tuple[tuple[complex, ...], ...]:
     def entry(x) -> complex:
         if isinstance(x, (int, float)):
             return complex(_number(x, "matrix"))
-        if pair(x):
-            return complex(_number(x[0], "matrix"), _number(x[1], "matrix"))
+        if pair(x):  # a matrix has no flag form, so its numbers are JSON numbers
+            return complex(*(_number(v, "matrix", strings=False) for v in x))
         raise GateSpecError(f"matrix entry must be a number or [re, im] pair: {_ECHO.repr(x)}")
 
     if not (pair(data) and all(map(pair, data))):
@@ -141,16 +141,20 @@ def _numbers(description: dict, key: str, count: int) -> list[float]:
 
 
 def _json_float(x) -> float:
-    """A JSON number as a float: float() would also read a string, and true and false as 1 and 0."""
-    if type(x) not in (int, float):
-        raise TypeError(f"not a number: {x!r}")
+    """A schedule number, a finite JSON int or float, as a float; anything else raises.
+
+    float() would also read a string, and true and false as 1 and 0.
+    """
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise ValueError(f"not a finite number: {x!r}")
     return float(x)
 
 
-def _number(x, key: str) -> float:
-    """`x`, a number or a string (the flag forms pass strings), as a finite float; an error names the key."""
+def _number(x, key: str, *, strings: bool = True) -> float:
+    """`x` as a finite float: a number, or a string if `strings` (flag forms pass text); errors name `key`."""
     try:
-        if isinstance(x, bool):  # Python's bool is an int, but a JSON true or false is not a number
+        # Python's bool is an int, but a JSON true or false is not a number
+        if isinstance(x, bool) or (isinstance(x, str) and not strings):
             raise TypeError
         value = float(x)
     except (TypeError, ValueError, OverflowError):
@@ -299,12 +303,7 @@ def cmd_verify(args) -> int:
     try:
         pulses = [ir.XYPulse(_json_float(p["phase_rad"]), _json_float(p["angle_rad"])) for p in doc["pulses"]]
         frame = _json_float(doc["frame_phase_rad"])
-        if any(math.isinf(x) for x in (frame, *(v for p in pulses for v in (p.phase, p.angle)))):
-            raise ValueError("pulse and frame numbers must not be infinite")
         declared, eps_target = _json_float(doc["epsilon"]), _json_float(doc["eps_target"])
-        # both, not only their min: min(declared, nan) is declared
-        if not (math.isfinite(declared) and math.isfinite(eps_target)):
-            raise ValueError("epsilon and eps_target must be finite")
         target = None if given else doc["target"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CommandError(f"malformed schedule: {_ECHO.repr(exc)}") from exc

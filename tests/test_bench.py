@@ -163,3 +163,9 @@ class TestFitLogModel:
         for bad in (1.0, 0.0):
             with pytest.raises(ValueError, match="must lie in"):
                 fit_log_model([1e-1, bad, 1e-3], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_y(self, bad):
+        # a sweep cell whose every compile failed has a NaN mean
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_log_model([1e-1, 1e-2, 1e-3], [1.0, bad, 3.0])

@@ -281,8 +281,9 @@ class TestUsageErrors:
                 ["compile", "--matrix", '[[1, "a"], [0, 1]]'],
                 "error: matrix entry must be a number or [re, im] pair: 'a'\n",
             ),
+            (["compile", "--matrix", '[[["1",0],0],[0,1]]'], "error: malformed number in matrix: '1'\n"),
         ],
-        ids=["axis-without-angle", "matrix-entry"],
+        ids=["axis-without-angle", "matrix-entry", "matrix-pair-string"],
     )
     def test_target_error_names_the_flaw(self, argv, err):
         assert _outcome(argv) == (2, "", err)
@@ -835,12 +836,17 @@ class TestVerifyRobustness:
         path.write_text(json.dumps(doc))
         return run_cli(capsys, "verify", "--schedule", str(path))
 
-    def test_nan_pulse_angle_is_mismatch(self, capsys, tmp_path):
+    @pytest.mark.parametrize("field", ["phase_rad", "angle_rad", "frame_phase_rad"])
+    def test_nan_number_is_malformed(self, capsys, tmp_path, field):
+        # each schedule number is checked where it is read, so a NaN never reaches the evaluator
         doc = self.schedule(capsys, tmp_path)
-        doc["pulses"][0]["angle_rad"] = math.nan
-        code, out, _ = self.verify(capsys, tmp_path, doc)
-        assert code == 1
-        assert "MISMATCH" in out
+        if field == "frame_phase_rad":
+            doc[field] = math.nan
+        else:
+            doc["pulses"][0][field] = math.nan
+        code, out, err = self.verify(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed schedule") and err.count("\n") == 1
 
     def test_non_unit_target_axis_is_usage_error(self, capsys, tmp_path):
         doc = self.schedule(capsys, tmp_path)
@@ -963,6 +969,11 @@ TARGET_FORMS = [
     pytest.param(None, {"matrix": [1, 2]}, "matrix must be 2x2", id="matrix-flat"),
     pytest.param(None, {"matrix": [[["a", 0], 0], [0, 1]]}, "malformed number in matrix: 'a'",
                  id="matrix-pair-string"),
+    # a matrix has no flag form, so a number written as a string is malformed, though float() reads it
+    pytest.param(None, {"matrix": [[["1", 0], 0], [0, 1]]}, "malformed number in matrix: '1'",
+                 id="matrix-pair-numeric-string"),
+    pytest.param(None, {"matrix": [[[" 1_0 ", 0], [0, 0]], [[0, 0], [1, 0]]]}, "malformed number in matrix: ' 1_0 '",
+                 id="matrix-pair-underscore-string"),
     # a JSON true or false is not a number, though Python's bool is an int
     pytest.param(None, {"matrix": [[True, False], [False, True]]}, "malformed number in matrix: True",
                  id="matrix-bool"),
