@@ -23,12 +23,6 @@ from .greedy import (
     allowed_axes,
     greedy_compile,
 )
-from .u3 import u3_compile
-from .bench import (
-    evaluation_dataset,
-    fit_log_model,
-    run_sweep,
-)
 
 # the names callers use; everything else is imported from its module
 __all__ = [
@@ -50,3 +44,19 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# name -> module, loaded on first use (PEP 562): a greedy compile needs neither u3 nor bench
+_LAZY = {"u3": "u3", "u3_compile": "u3", "bench": "bench", "evaluation_dataset": "bench",
+         "fit_log_model": "bench", "run_sweep": "bench"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

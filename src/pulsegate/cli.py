@@ -22,9 +22,9 @@ import json
 import math
 import reprlib
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
-from . import bench, ir
+from . import ir
 from .greedy import CompileError, GreedyConfig, InvalidConfigurationError, allowed_axes, greedy_compile
 from .su2 import entries, euler_matrix, is_unitary, rotation_unitary
 from .u3 import u3_compile
@@ -77,11 +77,10 @@ def _read_json(error: type[Exception], what: str, *, path: str | None = None, te
         raise error(f"cannot read {what}: {exc}") from exc
 
 
-class GateSpec(NamedTuple):
+class GateSpec(namedtuple("GateSpec", "description unitary")):
     """A resolved target gate, as 2x2 rows of Python complex, plus its normalized JSON description."""
 
-    description: dict
-    unitary: tuple[tuple[complex, complex], tuple[complex, complex]]
+    __slots__ = ()
 
 
 def _matrix_from_json(data) -> tuple[tuple[complex, ...], ...]:
@@ -150,13 +149,32 @@ def _json_float(x) -> float:
     return float(x)
 
 
+def _text_number(kind: type):
+    """`kind` (int or float) of a number written as text; raises ValueError for `_` or non-ASCII.
+
+    int() and float() also read Python's literal forms, `1_0` as 10 and an
+    Arabic-Indic `١` as 1. Surrounding spaces stay allowed.
+    """
+
+    def read(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+        return kind(text)
+
+    read.__name__ = kind.__name__  # argparse names a type= function in its usage error
+    return read
+
+
+_int, _float = _text_number(int), _text_number(float)
+
+
 def _number(x, key: str, *, strings: bool = True) -> float:
     """`x` as a finite float: a number, or a string if `strings` (flag forms pass text); errors name `key`."""
     try:
         # Python's bool is an int, but a JSON true or false is not a number
         if isinstance(x, bool) or (isinstance(x, str) and not strings):
             raise TypeError
-        value = float(x)
+        value = _float(x) if isinstance(x, str) else float(x)
     except (TypeError, ValueError, OverflowError):
         raise GateSpecError(f"malformed number in {key}: {_ECHO.repr(x)}") from None
     if not math.isfinite(value):
@@ -274,14 +292,15 @@ def cmd_compile(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        axes_list = [int(x) for x in args.axes_list.split(",")]
-        lo, hi = (int(x) for x in args.eps_decades.split(":"))
+        axes_list = [_int(x) for x in args.axes_list.split(",")]
+        lo, hi = (_int(x) for x in args.eps_decades.split(":"))
     except ValueError as exc:
         raise GateSpecError(f"malformed bench arguments: {exc}") from exc
     if lo < 1 or hi < lo:
         raise GateSpecError("need eps decades LO:HI with 1 <= LO <= HI")
     # each decade is checked as it is made, so a huge HI stops at the floor
     eps_list = [GreedyConfig(10.0 ** (-k)).eps_target for k in range(lo, hi + 1)]
+    from . import bench  # only here: no other command sweeps
     rows = bench.run_sweep(axes_list, eps_list)
     lines = [",".join(bench.SweepRow._fields)]
     lines += [",".join(map(str, row)) for row in rows]
@@ -339,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile one gate")
     _add_gate_spec_flags(p_compile)
-    p_compile.add_argument("--axes", type=int, default=18, help="number of allowed axes (default 18)")
-    p_compile.add_argument("--epsilon", type=float, default=1e-4, help="target gate error (default 1e-4)")
+    p_compile.add_argument("--axes", type=_int, default=18, help="number of allowed axes (default 18)")
+    p_compile.add_argument("--epsilon", type=_float, default=1e-4, help="target gate error (default 1e-4)")
     p_compile.add_argument("--baseline", action="store_true", help="use the fixed two-pulse baseline")
     p_compile.add_argument("--format", choices=("json", "text"), default="json")
 

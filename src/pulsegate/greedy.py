@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import ir
 from .su2 import TWO_PI, entries, quaternion
@@ -82,10 +82,10 @@ class NoProgressError(CompileError):
     """Damping floor reached with no error-lowering axis."""
 
 
-class AxisSet(NamedTuple):
+class AxisSet(namedtuple("AxisSet", "n_axes")):
     """Allowed axes in set order: +z, -z, then the n_axes - 2 XY phases ascending."""
 
-    n_axes: int
+    __slots__ = ()
 
     def phase(self, i: int) -> float:
         """Drive phase of XY axis i (i >= 2), radians."""
@@ -106,7 +106,7 @@ def allowed_axes(n_axes: int) -> AxisSet:
     return AxisSet(n_axes)
 
 
-class GreedyConfig(NamedTuple("GreedyConfig", [("eps_target", float)])):
+class GreedyConfig(namedtuple("GreedyConfig", "eps_target")):
     """Termination threshold for the greedy loop."""
 
     __slots__ = ()

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
+TYPE_CHECKING = False  # True for a type checker; `typing` is not imported at run time
 if TYPE_CHECKING:
     import numpy as np
 
@@ -55,8 +56,14 @@ def mod_pm_pi(angle: float) -> float:
 
 
 def entries(u) -> tuple[complex, complex, complex, complex]:
-    """(u00, u01, u10, u11) of a 2x2 as Python complex; an ndarray is read through tolist()."""
-    (u00, u01), (u10, u11) = u.tolist() if hasattr(u, "tolist") else u
+    """(u00, u01, u10, u11) of a 2x2 as Python complex; an ndarray is read through tolist().
+
+    Anything that does not unpack as two rows of two raises InvalidUnitaryError.
+    """
+    try:
+        (u00, u01), (u10, u11) = u.tolist() if hasattr(u, "tolist") else u
+    except (TypeError, ValueError) as exc:
+        raise InvalidUnitaryError(f"input is not a 2x2 matrix: {exc}") from None
     return complex(u00), complex(u01), complex(u10), complex(u11)
 
 
@@ -127,16 +134,13 @@ def quaternion(u) -> tuple[float, float, float, float]:
     return (w0 * k).real, (wx * k).real, (wy * k).real, (wz * k).real
 
 
-class EulerZXZ(NamedTuple):
+class EulerZXZ(namedtuple("EulerZXZ", "theta phi lam gamma")):
     """ZXZ Euler angles plus the global phase of the source matrix.
 
     theta in [0, pi]; phi, lam, gamma in [0, 2*pi).
     """
 
-    theta: float
-    phi: float
-    lam: float
-    gamma: float
+    __slots__ = ()
 
 
 def euler_matrix(theta: float, phi: float, lam: float) -> np.ndarray:

@@ -438,6 +438,29 @@ class TestUsageErrors:
         assert err == "error: eps_target must be in [1e-24, 1)\n"
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--epsilon", "1_0e-5"], "argument --epsilon: invalid float value: '1_0e-5'"),
+            (["--epsilon", "1e-\u0664"], "argument --epsilon: invalid float value: '1e-\u0664'"),
+            (["--axes", "1_8"], "argument --axes: invalid int value: '1_8'"),
+            (["--axes", "\u0661\u0668"], "argument --axes: invalid int value: '\u0661\u0668'"),
+            (["bench", "--axes-list", "6,1_0"], "malformed bench arguments: invalid int value: '1_0'"),
+            (["bench", "--eps-decades", "1:\u0661"], "malformed bench arguments: invalid int value: '\u0661'"),
+        ],
+        ids=["epsilon-underscore", "epsilon-arabic-indic", "axes-underscore", "axes-arabic-indic",
+             "axes-list-underscore", "eps-decades-arabic-indic"],
+    )
+    def test_number_text_in_a_python_literal_form_is_usage_error(self, argv, err):
+        # int() and float() would read 1_8 as 18 and an Arabic-Indic digit as its value
+        argv = argv if argv[0] == "bench" else ["compile", "--gate", "H", *argv]
+        assert _outcome(argv) == (2, "", f"error: {err}\n")
+
+    def test_number_text_keeps_surrounding_spaces(self):
+        spaced = _outcome(["compile", "--euler=1, 2, 3", "--axes", " 6 ", "--epsilon", " 1e-3\t"])
+        assert spaced == _outcome(["compile", "--euler=1,2,3", "--axes", "6", "--epsilon", "1e-3"])
+        assert spaced[0] == 0
+
 
 class TestParserReuse:
     """One parser serves every `main` call in a process and keeps nothing between them."""
@@ -536,7 +559,10 @@ class TestParserReuse:
 # Tokens that parse to a NaN or an infinity; "-inf" and "-Infinity" contain one.
 NONFINITE = ("nan", "NaN", "inf", "Infinity", "1e999")
 _finite = st.floats(-4, 4).map(repr)
-_number = st.one_of(_finite, _finite, st.sampled_from(NONFINITE + ("-inf", "abc", "", "0x1", "2")))
+# Python's literal forms that a number given as text must not take: `_` and non-ASCII digits
+LITERAL_FORMS = ("1_0", "\u0661", "2\u0660", "1_0e-5", "1_8")
+_number = st.one_of(_finite, _finite, st.sampled_from(NONFINITE + LITERAL_FORMS + ("-inf", "abc", "", "0x1", "2")),
+                    st.sampled_from([" 2 ", "\t-1"]))
 _triple = st.one_of(
     st.lists(_finite, min_size=3, max_size=3).map(",".join),
     st.lists(_number, min_size=1, max_size=4).map(",".join),
@@ -592,11 +618,11 @@ _LONG = st.sampled_from(["9" * 5000, "x" * 5000])
 _OPTIONS = {
     "--angle": _number | _LONG,
     "--axes": st.one_of(st.integers(4, 64), st.integers(-2, 64)).map(str)
-    | st.sampled_from(["x", "1.5", "", *HUGE_COUNTS])
+    | st.sampled_from(["x", "1.5", "", " 6 ", *LITERAL_FORMS, *HUGE_COUNTS])
     | _LONG,
     "--epsilon": st.one_of(
         st.floats(1e-8, 0.5).map(repr),
-        st.sampled_from(["nan", "inf", "abc", "0", "-1", "1", "1e-8"]),
+        st.sampled_from(["nan", "inf", "abc", "0", "-1", "1", "1e-8", *LITERAL_FORMS]),
         _LONG,
     ),
     "--format": st.sampled_from(["json", "json", "text", "xml"]) | _LONG,
@@ -609,14 +635,19 @@ _BENCH_OPTIONS = {
         st.one_of(
             st.integers(4, 40).map(str),
             st.sampled_from(HUGE_COUNTS[:2]),
-            st.sampled_from(["3", "-6", "x", "", "1e3", *HUGE_COUNTS[2:]]),
+            st.sampled_from(["3", "-6", "x", "", "1e3", "\u0666", "1_0", *HUGE_COUNTS[2:]]),
         ),
         min_size=1,
         max_size=2,
     ).map(",".join),
     "--eps-decades": st.sampled_from(["1:1", "1:2", "2:3", "3:3"])
-    | st.sampled_from(["2:1", "0:1", "1", "a:b", "1:2:3", "", "1:400", "1:100000000000"]),
+    | st.sampled_from(["2:1", "0:1", "1", "a:b", "1:2:3", "", "1:400", "1:100000000000", "1:\u0661", "1_0:1_1"]),
 }
+
+
+def _literal_form(flags: dict, names) -> bool:
+    """Whether a number flag among `names` holds `_` or a non-ASCII character."""
+    return any("_" in flags[n] or not flags[n].isascii() for n in names if n in flags)
 
 
 def _nonfinite_target(flags: dict) -> bool:
@@ -697,6 +728,7 @@ class TestCliProperty:
         if code == 0:
             nan_file = flags.get("--matrix-file") == files["nan-matrix.json"]
             assert not (_nonfinite_target(flags) or nan_file), (argv, out)
+            assert not _literal_form(flags, ("--euler", "--axis", "--angle", "--axes", "--epsilon")), (argv, out)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -710,7 +742,9 @@ class TestCliProperty:
             argv += [f"{name}={value}"] if draw(st.integers(0, 3)) else [name, value]
         if not draw(st.integers(0, 7)):
             argv.append("--bogus")
-        self.check(argv)
+        code, _, _ = self.check(argv)
+        if code == 0:
+            assert not _literal_form(flags, ("--axes-list", "--eps-decades")), argv
 
     @staticmethod
     def check(argv):
@@ -956,6 +990,17 @@ TARGET_FORMS = [
     pytest.param(["--axis=0,0,1", "--angle=x"], {"axis": [0, 0, 1], "angle": "x"}, "malformed number in angle: 'x'",
                  id="angle-number"),
     pytest.param(None, {"axis": [0, 0, 1], "angle": None}, "malformed number in angle: None", id="angle-null"),
+    # a number given as text is plain ASCII: float() would also read Python's literal forms
+    pytest.param(["--euler=1_0,0,0"], {"euler": ["1_0", 0, 0]}, "malformed number in euler: '1_0'",
+                 id="euler-underscore"),
+    pytest.param(["--euler=\u0661,0,0"], {"euler": ["\u0661", 0, 0]}, "malformed number in euler: '\u0661'",
+                 id="euler-arabic-indic-digit"),
+    pytest.param(["--axis=0,0,1", "--angle=1_0"], {"axis": [0, 0, 1], "angle": "1_0"},
+                 "malformed number in angle: '1_0'", id="angle-underscore"),
+    pytest.param(["--axis=0,0,\uff11", "--angle=1"], {"axis": [0, 0, "\uff11"], "angle": 1},
+                 "malformed number in axis: '\uff11'", id="axis-fullwidth-digit"),
+    pytest.param(["--euler=nan,0,0"], {"euler": ["nan", 0, 0]}, "euler entries must be finite", id="euler-nan-text"),
+    pytest.param(["--euler=1, 2, 3"], {"euler": ["1", " 2", " 3 "]}, None, id="euler-spaces"),
     pytest.param(None, {"euler": 5}, "euler needs a list of 3 numbers, got 5", id="euler-not-a-list"),
     pytest.param(None, {"euler": "1,2,3"}, "euler needs a list of 3 numbers, got '1,2,3'", id="euler-string"),
     # an echoed value is cut in the middle: 10**400 has 401 digits
@@ -1058,6 +1103,54 @@ def test_import_and_usage_errors_load_no_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_only_what_a_greedy_compile_uses():
+    """`import pulsegate` loads su2, ir and greedy; u3, bench and their names load on first use.
+
+    `-S` skips the site hooks, which may import typing before any program code runs.
+    """
+    script = textwrap.dedent("""
+        import sys
+        import pulsegate
+        early = {"typing", "pulsegate.bench", "pulsegate.u3"} & set(sys.modules)
+        assert not early, early
+        assert set(pulsegate.__all__) <= set(dir(pulsegate)), set(pulsegate.__all__) - set(dir(pulsegate))
+        from pulsegate import evaluation_dataset, fit_log_model, run_sweep, u3_compile
+        bench, u3 = sys.modules["pulsegate.bench"], sys.modules["pulsegate.u3"]
+        assert pulsegate.bench is bench and pulsegate.u3 is u3
+        assert (run_sweep, evaluation_dataset, fit_log_model) == (bench.run_sweep, bench.evaluation_dataset,
+                                                                  bench.fit_log_model)
+        assert u3_compile is u3.u3_compile
+        import pulsegate.cli
+        assert "typing" not in sys.modules, "typing loaded"
+    """)
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=_src_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_only_the_bench_command_loads_the_harness(tmp_path):
+    """`compile`, `verify` and `compile --baseline` run without `pulsegate.bench`; `bench` loads it."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import pulsegate.cli
+        schedule, rows = sys.argv[1:]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert pulsegate.cli.main(["compile", "--gate", "H"]) == 0
+        with open(schedule, "w") as fh:
+            fh.write(out.getvalue())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert pulsegate.cli.main(["verify", "--schedule", schedule]) == 0
+            assert pulsegate.cli.main(["compile", "--gate", "H", "--baseline"]) == 0
+        assert "pulsegate.bench" not in sys.modules, "bench loaded before the bench command"
+        assert pulsegate.cli.main(["bench", "--axes-list", "6", "--eps-decades", "1:1", "--out", rows]) == 0
+        assert "pulsegate.bench" in sys.modules
+    """)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "h.json"), str(tmp_path / "rows.csv")],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "rows.csv").read_text().startswith("n_axes,")
 
 
 def test_module_entry_runs_main():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pulsegate import u3_compile
+from pulsegate import GreedyConfig, allowed_axes, greedy_compile, u3_compile
 from pulsegate.su2 import (
     EulerZXZ,
     InvalidAxisError,
@@ -217,14 +217,17 @@ class TestIsUnitary:
         assert is_unitary(u) is False
 
     @pytest.mark.parametrize(
-        "u", [np.eye(3), [[1, 0], [0]], [1, 0, 0, 1]], ids=["3x3", "ragged", "1-D"]
+        "u", [np.eye(3), [[1, 0], [0]], [1, 0, 0, 1], [[1, 0, 0], [0, 1, 0]]], ids=["3x3", "ragged", "1-D", "2x3"]
     )
     def test_not_2x2_is_rejected(self, u):
+        # both compilers refuse it alike, through `entries`, the one 2x2 reader
         assert is_unitary(u) is False
         with pytest.raises(InvalidUnitaryError):
             euler_zxz(u)
         with pytest.raises(InvalidUnitaryError):
             u3_compile(u)
+        with pytest.raises(InvalidUnitaryError, match="not a 2x2 matrix"):
+            greedy_compile(u, allowed_axes(6), GreedyConfig(1e-2))
 
 
 class TestModTwoPi:
