@@ -13,12 +13,14 @@ from __future__ import annotations
 import gc
 import math
 import time
-from collections import namedtuple
-from collections.abc import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .greedy import CompileError, GreedyConfig, allowed_axes, greedy_compile
 from .ir import CompiledGate
 from .su2 import rx, rz
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_AXES_LIST = (6, 10, 18, 34)
 DEFAULT_EPS_LIST = tuple(10.0 ** (-k) for k in range(1, 9))
@@ -28,22 +30,30 @@ class InsufficientDataError(ValueError):
     """Too few points for a least-squares fit."""
 
 
-class EvalTarget(namedtuple("EvalTarget", "theta varphi unitary")):
-    """One benchmark target: X rotation by theta, then Z rotation by varphi; `unitary` is a numpy array."""
+class EvalTarget(NamedTuple):
+    """One benchmark target: X rotation by theta, then Z rotation by varphi."""
 
-    __slots__ = ()
-
-
-class SweepRow(namedtuple("SweepRow", "n_axes eps_target eps_mean dist_mean pulses_mean time_mean_s failures")):
-    """Aggregate metrics for one (n_axes, eps_target) cell; `n_axes` and `failures` are ints."""
-
-    __slots__ = ()
+    theta: float
+    varphi: float
+    unitary: np.ndarray
 
 
-class FitResult(namedtuple("FitResult", "slope intercept r2")):
-    """Least-squares line y = slope * log10(1/eps) + intercept and its coefficient of determination."""
+class SweepRow(NamedTuple):
+    """Aggregate metrics for one (n_axes, eps_target) cell."""
 
-    __slots__ = ()
+    n_axes: int
+    eps_target: float
+    eps_mean: float
+    dist_mean: float
+    pulses_mean: float
+    time_mean_s: float
+    failures: int
+
+
+class FitResult(NamedTuple):
+    slope: float
+    intercept: float
+    r2: float
 
 
 def evaluation_dataset() -> list[EvalTarget]:

@@ -22,7 +22,7 @@ import json
 import math
 import reprlib
 import sys
-from collections import namedtuple
+from typing import NamedTuple
 
 from . import ir
 from .greedy import CompileError, GreedyConfig, InvalidConfigurationError, allowed_axes, greedy_compile
@@ -77,10 +77,11 @@ def _read_json(error: type[Exception], what: str, *, path: str | None = None, te
         raise error(f"cannot read {what}: {exc}") from exc
 
 
-class GateSpec(namedtuple("GateSpec", "description unitary")):
+class GateSpec(NamedTuple):
     """A resolved target gate, as 2x2 rows of Python complex, plus its normalized JSON description."""
 
-    __slots__ = ()
+    description: dict
+    unitary: tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 def _matrix_from_json(data) -> tuple[tuple[complex, ...], ...]:

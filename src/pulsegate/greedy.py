@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
+from typing import NamedTuple
 
 from . import ir
 from .su2 import TWO_PI, entries, quaternion
@@ -82,10 +82,10 @@ class NoProgressError(CompileError):
     """Damping floor reached with no error-lowering axis."""
 
 
-class AxisSet(namedtuple("AxisSet", "n_axes")):
+class AxisSet(NamedTuple):
     """Allowed axes in set order: +z, -z, then the n_axes - 2 XY phases ascending."""
 
-    __slots__ = ()
+    n_axes: int
 
     def phase(self, i: int) -> float:
         """Drive phase of XY axis i (i >= 2), radians."""
@@ -106,7 +106,7 @@ def allowed_axes(n_axes: int) -> AxisSet:
     return AxisSet(n_axes)
 
 
-class GreedyConfig(namedtuple("GreedyConfig", "eps_target")):
+class GreedyConfig(NamedTuple("GreedyConfig", [("eps_target", float)])):
     """Termination threshold for the greedy loop."""
 
     __slots__ = ()

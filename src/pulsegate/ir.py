@@ -22,12 +22,10 @@ function of its input; callers that report timing measure the call.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .su2 import TWO_PI, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
 
-TYPE_CHECKING = False  # True for a type checker; `typing` is not imported at run time
 if TYPE_CHECKING:
     import numpy as np
 
@@ -41,23 +39,24 @@ PHASE_EPS = 1e-12
 ERROR_SLACK = 1e-12
 
 
-class VirtualZ(namedtuple("VirtualZ", "alpha")):
+class VirtualZ(NamedTuple):
     """Zero-cost z-axis frame shift by `alpha` radians."""
 
-    __slots__ = ()
+    alpha: float
 
 
-class XYPulse(namedtuple("XYPulse", "phase angle")):
+class XYPulse(NamedTuple):
     """Physical rotation by `angle` about the XY-plane axis at `phase`."""
 
-    __slots__ = ()
+    phase: float
+    angle: float
 
 
-PulseStep = VirtualZ | XYPulse
+PulseStep = Union[VirtualZ, XYPulse]
 PulseSequence = Sequence[PulseStep]
 
 
-def canonical_xy(phase: float, angle: float) -> XYPulse | None:
+def canonical_xy(phase: float, angle: float) -> Optional[XYPulse]:
     """Canonical form: angle in (0, pi], phase in [0, 2*pi); None if trivial.
 
     A rotation by theta in (pi, 2*pi) equals (up to global phase) a rotation
@@ -72,7 +71,7 @@ def canonical_xy(phase: float, angle: float) -> XYPulse | None:
     return XYPulse(mod_2pi(phase), a)
 
 
-def canonical_virtual_z(alpha: float) -> VirtualZ | None:
+def canonical_virtual_z(alpha: float) -> Optional[VirtualZ]:
     """Canonical form: alpha in (-pi, pi], nonzero; None if trivial."""
     a = mod_pm_pi(alpha)
     if abs(a) < ANGLE_EPS:
@@ -80,7 +79,7 @@ def canonical_virtual_z(alpha: float) -> VirtualZ | None:
     return VirtualZ(a)
 
 
-def canonical_step(step: PulseStep) -> PulseStep | None:
+def canonical_step(step: PulseStep) -> Optional[PulseStep]:
     if isinstance(step, VirtualZ):
         return canonical_virtual_z(step.alpha)
     # already canonical: folding would give back the same floats (phase 0 still folds: -0.0 to 0.0)
@@ -172,11 +171,11 @@ def pulse_count(steps: Iterable[PulseStep]) -> int:
     return _costs(steps)[1]
 
 
-class CompiledGate(namedtuple("CompiledGate", "pulses frame_phase epsilon distance pulse_count iterations")):
-    """Physical schedule for one target gate plus its achieved metrics.
-
-    `pulses` is a tuple of XYPulse; `pulse_count` and `iterations` are ints, the rest floats.
-    """
+class CompiledGate(NamedTuple("CompiledGate", [
+    ("pulses", tuple[XYPulse, ...]), ("frame_phase", float), ("epsilon", float),
+    ("distance", float), ("pulse_count", int), ("iterations", int),
+])):
+    """Physical schedule for one target gate plus its achieved metrics."""
 
     __slots__ = ()
 
@@ -190,11 +189,14 @@ class CompiledGate(namedtuple("CompiledGate", "pulses frame_phase epsilon distan
         return sequence_unitary([*self.pulses, VirtualZ(self.frame_phase)])
 
 
-class CompileReport(namedtuple("CompileReport", "iterations damped_steps pre_pass_distance "
-                                                "pre_pass_pulse_count post_pass_pulse_count")):
-    """Per-compilation diagnostics the gate itself does not carry; every field but the distance is an int."""
+class CompileReport(NamedTuple):
+    """Per-compilation diagnostics the gate itself does not carry."""
 
-    __slots__ = ()
+    iterations: int
+    damped_steps: int
+    pre_pass_distance: float
+    pre_pass_pulse_count: int
+    post_pass_pulse_count: int
 
 
 def schedule_error(target, pulses: Sequence[XYPulse], frame_phase: float) -> float:

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
-TYPE_CHECKING = False  # True for a type checker; `typing` is not imported at run time
 if TYPE_CHECKING:
     import numpy as np
 
@@ -134,13 +133,16 @@ def quaternion(u) -> tuple[float, float, float, float]:
     return (w0 * k).real, (wx * k).real, (wy * k).real, (wz * k).real
 
 
-class EulerZXZ(namedtuple("EulerZXZ", "theta phi lam gamma")):
+class EulerZXZ(NamedTuple):
     """ZXZ Euler angles plus the global phase of the source matrix.
 
     theta in [0, pi]; phi, lam, gamma in [0, 2*pi).
     """
 
-    __slots__ = ()
+    theta: float
+    phi: float
+    lam: float
+    gamma: float
 
 
 def euler_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
