@@ -93,8 +93,8 @@ def _matrix_from_json(data) -> tuple[tuple[complex, ...], ...]:
     def entry(x) -> complex:
         if isinstance(x, (int, float)):
             return complex(_number(x, "matrix"))
-        if pair(x):  # a matrix has no flag form, so its numbers are JSON numbers
-            return complex(*(_number(v, "matrix", strings=False) for v in x))
+        if pair(x):
+            return complex(*(_number(v, "matrix") for v in x))
         raise GateSpecError(f"matrix entry must be a number or [re, im] pair: {_ECHO.repr(x)}")
 
     if not (pair(data) and all(map(pair, data))):
@@ -130,24 +130,14 @@ def resolve_gate_spec(args) -> GateSpec:
     return gate_spec_from_json(description)
 
 
-def _numbers(description: dict, key: str, count: int) -> list[float]:
-    """The `count` numbers a description holds under `key`; errors name the key and the count."""
+def _numbers(description: dict, key: str) -> list[float]:
+    """The 3 target numbers a description holds under `key`; errors name the key and the count."""
     values = description[key]
     if not isinstance(values, list):
-        raise GateSpecError(f"{key} needs a list of {count} numbers, got {_ECHO.repr(values)}")
-    if len(values) != count:
-        raise GateSpecError(f"{key} needs {count} numbers, got {len(values)}")
-    return [_number(x, key) for x in values]
-
-
-def _json_float(x) -> float:
-    """A schedule number, a finite JSON int or float, as a float; anything else raises.
-
-    float() would also read a string, and true and false as 1 and 0.
-    """
-    if type(x) not in (int, float) or not math.isfinite(x):
-        raise ValueError(f"not a finite number: {x!r}")
-    return float(x)
+        raise GateSpecError(f"{key} needs a list of 3 numbers, got {_ECHO.repr(values)}")
+    if len(values) != 3:
+        raise GateSpecError(f"{key} needs 3 numbers, got {len(values)}")
+    return [_number(x, key, text=True) for x in values]
 
 
 def _text_number(kind: type):
@@ -169,11 +159,11 @@ def _text_number(kind: type):
 _int, _float = _text_number(int), _text_number(float)
 
 
-def _number(x, key: str, *, strings: bool = True) -> float:
-    """`x` as a finite float: a number, or a string if `strings` (flag forms pass text); errors name `key`."""
+def _number(x, key: str, *, text: bool = False) -> float:
+    """`x`, a finite JSON number, as a float; target numbers pass `text`, as flags do; errors name `key`."""
     try:
         # Python's bool is an int, but a JSON true or false is not a number
-        if isinstance(x, bool) or (isinstance(x, str) and not strings):
+        if isinstance(x, bool) or (isinstance(x, str) and not text):
             raise TypeError
         value = _float(x) if isinstance(x, str) else float(x)
     except (TypeError, ValueError, OverflowError):
@@ -204,13 +194,13 @@ def gate_spec_from_json(description) -> GateSpec:
                 raise GateSpecError(f"unknown gate {_ECHO.repr(name)}; known: {', '.join(NAMED_GATES)}")
             description, u = {"gate": name}, NAMED_GATES[name]
         elif "euler" in description:
-            euler = _numbers(description, "euler", 3)
+            euler = _numbers(description, "euler")
             description, u = {"euler": euler}, euler_matrix(*euler)
         elif "axis" in description:
             if "angle" not in description:
                 raise GateSpecError('axis target needs "angle"')
-            axis = _numbers(description, "axis", 3)
-            angle = _number(description["angle"], "angle")
+            axis = _numbers(description, "axis")
+            angle = _number(description["angle"], "angle", text=True)
             description, u = {"axis": axis, "angle": angle}, rotation_unitary(axis, angle)
         elif "matrix" in description:
             u = _matrix_from_json(description["matrix"])
@@ -299,8 +289,9 @@ def cmd_bench(args) -> int:
         raise GateSpecError(f"malformed bench arguments: {exc}") from exc
     if lo < 1 or hi < lo:
         raise GateSpecError("need eps decades LO:HI with 1 <= LO <= HI")
-    # each decade is checked as it is made, so a huge HI stops at the floor
-    eps_list = [GreedyConfig(10.0 ** (-k)).eps_target for k in range(lo, hi + 1)]
+    # each decade is checked as it is made, so a huge HI stops at the floor; decades
+    # start at most at 400, where 10.0 ** (-k) is 0.0, since k must fit in a float
+    eps_list = [GreedyConfig(10.0 ** (-k)).eps_target for k in range(min(lo, 400), hi + 1)]
     from . import bench  # only here: no other command sweeps
     rows = bench.run_sweep(axes_list, eps_list)
     lines = [",".join(bench.SweepRow._fields)]
@@ -321,11 +312,11 @@ def cmd_verify(args) -> int:
     doc = _read_json(CommandError, "schedule", path=args.schedule)
     given = any(getattr(args, name) is not None for name in TARGET_FLAGS)
     try:
-        pulses = [ir.XYPulse(_json_float(p["phase_rad"]), _json_float(p["angle_rad"])) for p in doc["pulses"]]
-        frame = _json_float(doc["frame_phase_rad"])
-        declared, eps_target = _json_float(doc["epsilon"]), _json_float(doc["eps_target"])
+        pulses = [ir.XYPulse(_number(p["phase_rad"], "phase_rad"), _number(p["angle_rad"], "angle_rad"))
+                  for p in doc["pulses"]]
+        frame, declared, eps_target = (_number(doc[f], f) for f in ("frame_phase_rad", "epsilon", "eps_target"))
         target = None if given else doc["target"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CommandError(f"malformed schedule: {_ECHO.repr(exc)}") from exc
     spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)
     eps = ir.schedule_error(spec.unitary, pulses, frame)

@@ -423,8 +423,9 @@ class TestUsageErrors:
             ["compile", "--gate", "H", "--epsilon", "1e-25", "--baseline"],
             ["bench", "--axes-list", "6", "--eps-decades", "1:25"],
             ["bench", "--axes-list", "6", "--eps-decades", "1:1000000"],
+            ["bench", "--axes-list", "6", "--eps-decades", f"{10**400}:{10**400}"],
         ],
-        ids=["compile", "compile-baseline", "bench", "bench-million-decades"],
+        ids=["compile", "compile-baseline", "bench", "bench-million-decades", "bench-decade-past-float"],
     )
     def test_eps_below_floor_is_usage_error(self, argv):
         # bench refuses each decade as it is made, before a list of a million exists
@@ -881,6 +882,7 @@ class TestVerifyRobustness:
         code, out, err = self.verify(capsys, tmp_path, doc)
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+        assert field in err
 
     def test_non_unit_target_axis_is_usage_error(self, capsys, tmp_path):
         doc = self.schedule(capsys, tmp_path)
@@ -900,6 +902,7 @@ class TestVerifyRobustness:
         code, out, err = self.verify(capsys, tmp_path, doc)
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+        assert field in err
 
     @pytest.mark.parametrize("field", ["phase_rad", "frame_phase_rad", "epsilon"])
     def test_integer_too_large_for_a_float_is_malformed(self, capsys, tmp_path, field):
@@ -911,6 +914,7 @@ class TestVerifyRobustness:
         code, out, err = self.verify(capsys, tmp_path, doc)
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+        assert field in err
 
     @pytest.mark.parametrize("value", [True, False, "0.5", " 1_0 "])
     @pytest.mark.parametrize("field", ["phase_rad", "angle_rad", "frame_phase_rad", "epsilon", "eps_target"])
@@ -925,6 +929,7 @@ class TestVerifyRobustness:
         code, out, err = self.verify(capsys, tmp_path, doc)
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+        assert field in err
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["epsilon", "eps_target"])
@@ -935,6 +940,7 @@ class TestVerifyRobustness:
         code, out, err = self.verify(capsys, tmp_path, doc)
         assert code == 1 and out == ""
         assert err.startswith("error: malformed schedule") and err.count("\n") == 1
+        assert field in err
 
     def test_loose_declared_epsilon_does_not_hide_a_miss(self, capsys, tmp_path):
         doc = self.schedule(capsys, tmp_path)
