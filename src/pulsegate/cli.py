@@ -169,7 +169,7 @@ def _number(x, key: str, *, text: bool = False) -> float:
     except (TypeError, ValueError, OverflowError):
         raise GateSpecError(f"malformed number in {key}: {_ECHO.repr(x)}") from None
     if not math.isfinite(value):
-        raise GateSpecError(f"{key} entries must be finite")
+        raise GateSpecError(f"non-finite number in {key}")
     return value
 
 
@@ -316,8 +316,10 @@ def cmd_verify(args) -> int:
                   for p in doc["pulses"]]
         frame, declared, eps_target = (_number(doc[f], f) for f in ("frame_phase_rad", "epsilon", "eps_target"))
         target = None if given else doc["target"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CommandError(f"malformed schedule: {_ECHO.repr(exc)}") from exc
+    except KeyError as exc:
+        raise CommandError(f"malformed schedule: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CommandError(f"malformed schedule: {exc}") from exc
     spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)
     eps = ir.schedule_error(spec.unitary, pulses, frame)
     ok = eps <= min(declared, eps_target) + ir.ERROR_SLACK

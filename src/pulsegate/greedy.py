@@ -116,7 +116,8 @@ class GreedyConfig(NamedTuple("GreedyConfig", [("eps_target", float)])):
             import numbers  # only here, so that `import pulsegate` does not load it
             if not isinstance(eps_target, numbers.Real):
                 raise InvalidConfigurationError(f"eps_target must be a real number, got {eps_target!r}")
-            eps_target = float(eps_target)
+            # |x| >= 1 is out of range, and 10**400 has no float: such an x reads as 1.0, refused below
+            eps_target = float(eps_target) if abs(eps_target) < 1 else 1.0
         if not EPS_FLOOR <= eps_target < 1.0:
             raise InvalidConfigurationError(f"eps_target must be in [{EPS_FLOOR:g}, 1)")
         return super().__new__(cls, eps_target)
@@ -138,14 +139,19 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
                      n.a = nx ax + ny ay.
     The winner keeps its n.a, and its new scalar part is b0 = c a0 - s n.a.
     Only +/-z and the XY phase indices lo, lo + 1 around psi and hi,
-    hi + 1 around psi + pi are scored, in set order (a non-finite state
-    scores only +/-z). Here lo = floor(psi m / 2 pi), and that product
-    is within a few ulps of its exact value: while those ulps stay below
-    half a grid step (m up to about 2**50), the phase nearest to psi is
-    lo or lo + 1, and beyond that a phase one step off scores within the
-    tie margin of the nearest. A later candidate wins only when its
-    error is lower by more than the TIE_RTOL margin, so ties break to
-    the first axis in set order.
+    hi + 1 around psi + pi are scored (a non-finite state scores only
+    +/-z). Reduced mod m and ordered so that lo <= hi, they are visited
+    as (lo, lo + 1, hi, hi + 1), or as (0, lo, lo + 1, hi) when hi + 1
+    wraps to 0, so each index first appears in ascending order; an index
+    met again scores the same error, which cannot beat a best that never
+    rose, so the scan is the set-order scan of the distinct indices.
+    Here lo = floor(psi m / 2 pi), and that product is within a few ulps
+    of its exact value: while those ulps stay below half a grid step (m
+    up to about 2**50), the phase nearest to psi is lo or lo + 1, and
+    beyond that a phase one step off scores within the tie margin of the
+    nearest. A later candidate wins only when its error is lower by more
+    than the TIE_RTOL margin, so ties break to the first axis in set
+    order.
     """
     cos, sin = math.cos, math.sin
     a0, ax, ay, az = state
@@ -164,9 +170,12 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
     psi = math.atan2(ay, ax)
     if math.isfinite(psi):
         m = axes.n_axes - 2
-        lo = math.floor(psi * m / TWO_PI)
-        hi = math.floor((psi + math.pi) * m / TWO_PI)
-        for j in sorted({lo % m, (lo + 1) % m, hi % m, (hi + 1) % m}):
+        lo = math.floor(psi * m / TWO_PI) % m
+        hi = math.floor((psi + math.pi) * m / TWO_PI) % m
+        if hi < lo:
+            lo, hi = hi, lo
+        # a repeat scores its first error again, which never beats best - margin: only first visits count
+        for j in (lo, lo + 1, hi, hi + 1) if hi + 1 < m else (0, lo, (lo + 1) % m, hi):
             phi = TWO_PI * j / m  # axes.phase(2 + j), inline
             nx, ny = cos(phi), sin(phi)
             bx = cx + s * (a0 * nx + ny * az)

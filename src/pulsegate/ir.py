@@ -201,7 +201,8 @@ class CompileReport(NamedTuple):
 
 def schedule_error(target, pulses: Sequence[XYPulse], frame_phase: float) -> float:
     """Gate error 1 - F of a finished schedule; roundoff below 0 reads 0, NaN stays NaN."""
-    u = sequence_unitary([*pulses, VirtualZ(frame_phase)])
+    # rz(0.0) would only flip the signs of zeros, which |vdot| cannot see; a NaN frame is kept
+    u = sequence_unitary([*pulses, VirtualZ(frame_phase)] if frame_phase else pulses)
     return max(1.0 - hs_fidelity(target, u), 0.0)
 
 

@@ -347,7 +347,7 @@ class TestUsageErrors:
             warnings.simplefilter("always")
             code, out, err = _outcome(["compile", "--matrix", f"[[{entry}, 0], [0, 1]]"])
         assert code == 2 and out == "" and not caught
-        assert err == "error: matrix entries must be finite\n"
+        assert err == "error: non-finite number in matrix\n"
 
     @pytest.mark.parametrize("entry", ["1e308", "-1e308", "1e200", "[0, 1e200]"])
     @pytest.mark.parametrize("form", ["--matrix", "--matrix-file"])
@@ -951,6 +951,20 @@ class TestVerifyRobustness:
         assert code == 1
         assert out.endswith("(declared 1) -> MISMATCH\n")
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.update(epsilon=math.nan), "non-finite number in epsilon"),
+        (lambda d: d["pulses"][0].update(angle_rad=math.inf), "non-finite number in angle_rad"),
+        (lambda d: d.pop("pulses"), "missing field 'pulses'"),
+        (lambda d: d["pulses"][0].pop("phase_rad"), "missing field 'phase_rad'"),
+    ], ids=["nan-epsilon", "inf-angle", "no-pulses", "no-phase"])
+    def test_malformed_schedule_message(self, capsys, tmp_path, change, message):
+        # the message itself, with no exception class name around it
+        doc = self.schedule(capsys, tmp_path)
+        change(doc)
+        code, out, err = self.verify(capsys, tmp_path, doc)
+        assert code == 1 and out == ""
+        assert err == f"error: malformed schedule: {message}\n"
+
     @pytest.mark.parametrize("doc", [{"pulses": []}, []])
     def test_malformed_schedule(self, capsys, tmp_path, doc):
         code, _, err = self.verify(capsys, tmp_path, doc)
@@ -981,10 +995,10 @@ TARGET_FORMS = [
                  id="euler-number"),
     pytest.param(["--axis=0,x,1", "--angle=1"], {"axis": [0, "x", 1], "angle": 1},
                  "malformed number in axis: 'x'", id="axis-number"),
-    pytest.param(["--euler=inf,0,0"], {"euler": [math.inf, 0, 0]}, "euler entries must be finite",
+    pytest.param(["--euler=inf,0,0"], {"euler": [math.inf, 0, 0]}, "non-finite number in euler",
                  id="euler-inf"),
     pytest.param(["--axis=0,0,1", "--angle=inf"], {"axis": [0, 0, 1], "angle": math.inf},
-                 "angle entries must be finite", id="angle-inf"),
+                 "non-finite number in angle", id="angle-inf"),
     # finite angles, but lam + phi overflows to inf and the unitary reads NaN
     pytest.param(["--euler=0,1e308,1e308"], {"euler": [0, 1e308, 1e308]},
                  "target unitary is not finite", id="euler-sum-overflows"),
@@ -1005,7 +1019,7 @@ TARGET_FORMS = [
                  "malformed number in angle: '1_0'", id="angle-underscore"),
     pytest.param(["--axis=0,0,\uff11", "--angle=1"], {"axis": [0, 0, "\uff11"], "angle": 1},
                  "malformed number in axis: '\uff11'", id="axis-fullwidth-digit"),
-    pytest.param(["--euler=nan,0,0"], {"euler": ["nan", 0, 0]}, "euler entries must be finite", id="euler-nan-text"),
+    pytest.param(["--euler=nan,0,0"], {"euler": ["nan", 0, 0]}, "non-finite number in euler", id="euler-nan-text"),
     pytest.param(["--euler=1, 2, 3"], {"euler": ["1", " 2", " 3 "]}, None, id="euler-spaces"),
     pytest.param(None, {"euler": 5}, "euler needs a list of 3 numbers, got 5", id="euler-not-a-list"),
     pytest.param(None, {"euler": "1,2,3"}, "euler needs a list of 3 numbers, got '1,2,3'", id="euler-string"),

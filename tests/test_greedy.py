@@ -213,6 +213,14 @@ class TestConfig:
         [row] = run_sweep([6], np.array([1e-2]))
         assert type(row.eps_target) is float and "np." not in repr(row)
 
+    @pytest.mark.parametrize("huge", [10**400, -10**400, Fraction(10**400), Fraction(-10**401, 3)])
+    def test_real_too_large_for_a_float_is_refused(self, huge):
+        # float(10**400) raises OverflowError; the value is out of range whatever its float
+        with pytest.raises(InvalidConfigurationError, match="must be in"):
+            GreedyConfig(huge)
+        with pytest.raises(InvalidConfigurationError, match="must be in"):
+            run_sweep([6], [huge])
+
 
 class TestBestAxisStep:
     def test_exact_target_on_xy_axis(self):
@@ -258,6 +266,76 @@ class TestBestAxisStep:
                 rotated = rotation_unitary(unit_vector(axes, i), angle) @ current
                 assert_same_state(new, state_of(rotated, target))
                 assert error == new[1] ** 2 + new[2] ** 2 + new[3] ** 2
+
+    def test_scan_order_matches_set_order_bit_for_bit(self):
+        # the XY candidates are visited without a set, repeats included; at m = 3
+        # every scan repeats an index, and lo = hi needs m <= 2, so n_axes 3 and 4
+        # are built as AxisSet directly, below allowed_axes' floor
+        draw = random.Random(7)
+        pi_below = math.nextafter(math.pi, 0.0)
+        sizes = [3, 4, *range(5, 43), 16386, 2**40 + 2]
+        for n_axes in sizes:
+            axes, m = greedy.AxisSet(n_axes), n_axes - 2
+            step = 2.0 * math.pi / m
+            # psi at +/-pi, one ulp inside, on the last grid phase's interval (hi = m - 1),
+            # on grid phases and midpoints, each with its neighbours a few ulps away
+            centres = [math.pi, -math.pi, pi_below, -pi_below, math.pi - step / 2, math.pi - step,
+                       0.0, step, -step, step / 2, -step / 2]
+            centres += [draw.uniform(-math.pi, math.pi) for _ in range(8)]
+            psis = []
+            for centre in centres:
+                p = q = centre
+                psis.append(centre)
+                for _ in range(2):
+                    p, q = math.nextafter(p, math.inf), math.nextafter(q, -math.inf)
+                    psis += [p, q]
+            states = []
+            for psi in psis:
+                for a0, az in ((0.8, 0.05), (-0.6, -0.3), (0.0, 0.0)):
+                    r = math.sqrt(1.0 - a0 * a0 - az * az)
+                    states.append((a0, r * math.cos(psi), r * math.sin(psi), az))
+            # atan2 reads exactly +/-pi only from a zero ay, signed
+            states += [(0.5, -0.75, 0.0, 0.2), (0.5, -0.75, -0.0, 0.2)]
+            states += [tuple(draw.uniform(-1.0, 1.0) for _ in range(4)) for _ in range(20)]
+            for state in states:
+                for angle in (math.pi, 0.3, 1e-7):
+                    i, error, new = best_axis_step(state, axes, angle)
+                    ref_i, ref_error, ref_new = set_order_step(state, axes, angle)
+                    assert i == ref_i, (state, n_axes, angle)
+                    assert error.hex() == ref_error.hex(), (state, n_axes, angle)
+                    assert [x.hex() for x in new] == [x.hex() for x in ref_new], (state, n_axes, angle)
+
+
+def set_order_step(state, axes, step_angle):
+    """best_axis_step as it was written with its XY candidates in a sorted set: the bit-for-bit reference."""
+    cos, sin = math.cos, math.sin
+    a0, ax, ay, az = state
+    c, s = cos(step_angle / 2.0), sin(step_angle / 2.0)
+    cx, cy, cz = c * ax, c * ay, c * az
+    margin = greedy.TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
+    sx, sy, s0 = s * ax, s * ay, s * a0
+    bx, by, bz = cx - sy, cy + sx, cz + s0
+    best_i, best_error, best = 0, bx * bx + by * by + bz * bz, (az, bx, by, bz)
+    bx, by, bz = cx + sy, cy - sx, cz - s0
+    error = bx * bx + by * by + bz * bz
+    if error < best_error - margin:
+        best_i, best_error, best = 1, error, (-az, bx, by, bz)
+    psi = math.atan2(ay, ax)
+    if math.isfinite(psi):
+        m = axes.n_axes - 2
+        lo = math.floor(psi * m / greedy.TWO_PI)
+        hi = math.floor((psi + math.pi) * m / greedy.TWO_PI)
+        for j in sorted({lo % m, (lo + 1) % m, hi % m, (hi + 1) % m}):
+            phi = greedy.TWO_PI * j / m
+            nx, ny = cos(phi), sin(phi)
+            bx = cx + s * (a0 * nx + ny * az)
+            by = cy + s * (a0 * ny - nx * az)
+            bz = cz + s * (nx * ay - ny * ax)
+            error = bx * bx + by * by + bz * bz
+            if error < best_error - margin:
+                best_i, best_error, best = 2 + j, error, (nx * ax + ny * ay, bx, by, bz)
+    na, bx, by, bz = best
+    return best_i, best_error, (c * a0 - s * na, bx, by, bz)
 
 
 def cross_product_step(state, axes, step_angle):

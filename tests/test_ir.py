@@ -6,13 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pulsegate import (
+    GreedyConfig,
     XYPulse,
     absorb_virtual_z,
+    allowed_axes,
+    evaluation_dataset,
+    greedy_compile,
     hs_fidelity,
     merge_adjacent,
     pulse_count,
     sequence_unitary,
 )
+from pulsegate.cli import NAMED_GATES
 from pulsegate.ir import (
     ANGLE_EPS,
     CompiledGate,
@@ -353,6 +358,55 @@ class TestNumpyCallsBitForBit:
             want, want_frame = absorb_by_shift_rule(seq)
             assert pulses == want and exact(pulses) == exact(want)
             assert frame.hex() == want_frame.hex()
+
+
+def error_with_frame_factor(target, pulses) -> float:
+    """schedule_error of a frame-0 schedule with the trailing rz(0.0) still multiplied in."""
+    u = rz(0.0).dot(sequence_unitary(pulses))
+    return max(1.0 - hs_fidelity(target, u), 0.0)
+
+
+# hand-built schedules for gates whose entries hold exact zeros, one each (up to global phase)
+HAND_BUILT = {
+    "I": [XYPulse(0.0, math.pi), XYPulse(math.pi, math.pi)],
+    "X": [XYPulse(0.0, math.pi)],
+    "Y": [XYPulse(math.pi / 2, math.pi)],
+    "Z": [XYPulse(0.0, math.pi), XYPulse(math.pi / 2, math.pi)],
+    "H": [XYPulse(math.pi / 2, math.pi / 2), XYPulse(0.0, math.pi)],
+}
+
+
+class TestFrameZeroFactor:
+    """schedule_error leaves rz(0.0) out of a frame-0 product, and reads the same bits."""
+
+    @pytest.mark.parametrize("n_axes", [6, 18])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    def test_grid_compiles(self, n_axes, eps):
+        axes, config = allowed_axes(n_axes), GreedyConfig(eps)
+        with_pulses = 0
+        for *_, target in evaluation_dataset():
+            gate, _ = greedy_compile(target, axes, config)
+            if gate.frame_phase != 0.0:
+                continue
+            with_pulses += bool(gate.pulses)
+            want = error_with_frame_factor(target, gate.pulses).hex()
+            assert schedule_error(target, gate.pulses, 0.0).hex() == want
+            assert gate.epsilon.hex() == want
+        assert with_pulses > 0
+
+    @pytest.mark.parametrize("name", sorted(NAMED_GATES))
+    def test_no_pulses(self, name):
+        target = NAMED_GATES[name]
+        assert schedule_error(target, [], 0.0).hex() == error_with_frame_factor(target, []).hex()
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_schedules(self, name):
+        target, pulses = NAMED_GATES[name], HAND_BUILT[name]
+        assert any(x.real == 0.0 or x.imag == 0.0 for row in target for x in row)
+        want = error_with_frame_factor(target, pulses)
+        assert want < 1e-15
+        for t in (target, np.array(target)):
+            assert schedule_error(t, pulses, 0.0).hex() == want.hex()
 
 
 class TestFinishCounts:
