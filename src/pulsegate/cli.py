@@ -312,8 +312,12 @@ def cmd_verify(args) -> int:
     doc = _read_json(CommandError, "schedule", path=args.schedule)
     given = any(getattr(args, name) is not None for name in TARGET_FLAGS)
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"the schedule must be a JSON object, got {_ECHO.repr(doc)}")
+        if not (isinstance(raw := doc["pulses"], list) and all(isinstance(p, dict) for p in raw)):
+            raise TypeError(f"pulses must be a list of objects, got {_ECHO.repr(raw)}")
         pulses = [ir.XYPulse(_number(p["phase_rad"], "phase_rad"), _number(p["angle_rad"], "angle_rad"))
-                  for p in doc["pulses"]]
+                  for p in raw]
         frame, declared, eps_target = (_number(doc[f], f) for f in ("frame_phase_rad", "epsilon", "eps_target"))
         target = None if given else doc["target"]
     except KeyError as exc:

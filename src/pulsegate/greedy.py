@@ -18,6 +18,16 @@ phase nearest to psi or to psi + pi. Each step therefore scores +/-z and
 at most 4 XY phases, the two grid neighbours of each, whatever the size
 of the set.
 
+Descent bound (the paper's O(log 1/eps)): a step about an axis n with
+a0 (n.a) <= 0 and k = |n.a|/|a| leaves the error ratio
+(1 - k^2) + x (1 - k)^2, x = a0^2/(a0^2 + |a|^2) in [0, 1], so at most
+2 - 2k. Among the scored axes every state has one with
+k >= k_min = cos(pi/m)/sqrt(1 + cos^2(pi/m)), m = n_axes - 2. So for
+n_axes >= 6 (k_min > 1/2) each step, undamped, lowers the error by at
+least rho = 2 - 2 k_min, and a compile from error e0 takes at most
+ceil(ln(e0/eps)/ln(1/rho)) iterations (tests/test_greedy.py,
+TestDescentBound).
+
 Allowed axes are the +/- z lines plus n_axes - 2 >= 3 phases uniform on
 the XY-plane, so +/-x and +/-y are always present when 4 | (n_axes - 2).
 An axis is its index in set order. Z-line steps are recorded as free

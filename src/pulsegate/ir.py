@@ -5,9 +5,11 @@ Two step kinds exist: physical XY-plane pulses (phase selects the axis,
 angle the rotation) and virtual-Z frame shifts, which cost nothing on
 hardware. Passes here are exact up to global phase:
 
-  * merge_adjacent  -- folds adjacent same-line rotations together
   * absorb_virtual_z -- pushes every virtual-Z into the phases of later
-    pulses, leaving physical pulses plus one trailing frame shift
+    pulses, leaving canonical physical pulses plus one trailing frame
+    shift; it alone owns frame shifts and the canonical form
+  * merge_adjacent  -- folds a canonical schedule's adjacent same-line
+    pulses together
 
 Cost metrics follow the zero-cost virtual-Z accounting: distance sums
 only physical pulse angles, pulse_count counts only physical pulses.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .su2 import TWO_PI, hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
+from .su2 import hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,15 +81,6 @@ def canonical_virtual_z(alpha: float) -> Optional[VirtualZ]:
     return VirtualZ(a)
 
 
-def canonical_step(step: PulseStep) -> Optional[PulseStep]:
-    if isinstance(step, VirtualZ):
-        return canonical_virtual_z(step.alpha)
-    # already canonical: folding would give back the same floats (phase 0 still folds: -0.0 to 0.0)
-    if 0.0 < step.phase < TWO_PI and ANGLE_EPS <= step.angle <= math.pi:
-        return step
-    return canonical_xy(step.phase, step.angle)
-
-
 def sequence_unitary(steps: PulseSequence) -> np.ndarray:
     """Semantic unitary of a schedule; later steps left-multiply."""
     u = None
@@ -101,32 +94,27 @@ def sequence_unitary(steps: PulseSequence) -> np.ndarray:
 
 
 def merge_adjacent(steps: PulseSequence) -> list[PulseStep]:
-    """Fold adjacent same-line rotations to a fixpoint.
+    """Fold a canonical schedule's adjacent same-line pulses to a fixpoint.
 
-    Coaxial pulses add angles, antipodal-phase pulses subtract, virtual-Z
-    angles add; trivial results are deleted. Two pulse phases are on one
-    line when their circular distance, folded into [0, pi], is within
-    PHASE_EPS of 0 or of pi. Unitary is preserved up to global phase and
-    the step count never increases.
+    Coaxial pulses add angles, antipodal-phase pulses subtract; a trivial
+    result is deleted. Two pulse phases are on one line when their circular
+    distance, folded into [0, pi], is within PHASE_EPS of 0 or of pi.
+    Virtual-Z steps, and pulses that fold with nothing, come back as given:
+    absorb_virtual_z sums frame shifts and canonicalizes pulses. Unitary is
+    preserved up to global phase and the step count never increases.
     """
     out: list[PulseStep] = []
-    for raw in steps:
-        step = canonical_step(raw)
-        while step is not None and out:
+    for step in steps:
+        while out and isinstance(step, XYPulse) and isinstance(out[-1], XYPulse):
             last = out[-1]
-            if type(last) is not type(step):
-                break
-            if isinstance(step, VirtualZ):
-                step = canonical_virtual_z(last.alpha + step.alpha)
+            d = mod_2pi(last.phase - step.phase)
+            delta = min(d, 2.0 * math.pi - d)
+            if delta < PHASE_EPS:
+                step = canonical_xy(last.phase, last.angle + step.angle)
+            elif abs(delta - math.pi) < PHASE_EPS:
+                step = canonical_xy(last.phase, last.angle - step.angle)
             else:
-                d = mod_2pi(last.phase - step.phase)
-                delta = min(d, 2.0 * math.pi - d)
-                if delta < PHASE_EPS:
-                    step = canonical_xy(last.phase, last.angle + step.angle)
-                elif abs(delta - math.pi) < PHASE_EPS:
-                    step = canonical_xy(last.phase, last.angle - step.angle)
-                else:
-                    break
+                break
             out.pop()
         if step is not None:
             out.append(step)
@@ -139,6 +127,8 @@ def absorb_virtual_z(steps: PulseSequence) -> tuple[list[XYPulse], float]:
     A frame shift by z before a pulse at phase phi is equivalent to the
     pulse at phase phi - z followed by the same shift; scanning in time
     order leaves only physical pulses plus one trailing frame phase.
+    Every pulse is rebuilt through canonical_xy and a trivial one dropped,
+    so this pass alone sums frame shifts and canonicalizes pulses.
     Returns (pulses, frame_phase in [0, 2*pi)). Absorption can make
     pulses coaxial and adjacent; `finish` folds them with merge_adjacent
     when its caller asks for merging.

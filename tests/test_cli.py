@@ -871,6 +871,20 @@ class TestVerifyRobustness:
         path.write_text(json.dumps(doc))
         return run_cli(capsys, "verify", "--schedule", str(path))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "pulses": {}}, "pulses must be a list of objects, got {}"),
+        (lambda doc: {**doc, "pulses": ""}, "pulses must be a list of objects, got ''"),
+        (lambda doc: {**doc, "pulses": {"x": 1}}, "pulses must be a list of objects, got {'x': 1}"),
+        (lambda doc: {**doc, "pulses": [[]]}, "pulses must be a list of objects, got [[]]"),
+        (lambda doc: {**doc, "pulses": None}, "pulses must be a list of objects, got None"),
+        (lambda doc: [doc], "the schedule must be a JSON object, got [{...}]"),
+    ], ids=["empty-object", "empty-string", "object", "list-of-lists", "null", "document-list"])
+    def test_wrong_shape_is_malformed(self, capsys, tmp_path, edit, message):
+        # an empty object or string is not a schedule without pulses, and no shape may
+        # reach the user in Python's own wording
+        code, out, err = self.verify(capsys, tmp_path, edit(self.schedule(capsys, tmp_path)))
+        assert (code, out, err) == (1, "", f"error: malformed schedule: {message}\n")
+
     @pytest.mark.parametrize("field", ["phase_rad", "angle_rad", "frame_phase_rad"])
     def test_nan_number_is_malformed(self, capsys, tmp_path, field):
         # each schedule number is checked where it is read, so a NaN never reaches the evaluator
@@ -1138,6 +1152,26 @@ def test_import_loads_only_what_a_greedy_compile_uses():
         assert pulsegate.bench is bench and pulsegate.u3 is u3
         assert run_sweep is bench.run_sweep and evaluation_dataset is bench.evaluation_dataset
         assert fit_log_model is bench.fit_log_model and u3_compile is u3.u3_compile
+    """)
+    done = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_dir_lists_the_lazy_names_without_loading_them():
+    """`dir(pulsegate)` names every `__all__` entry, `u3` and `bench`, and imports neither module.
+
+    A fresh interpreter, because the test process has already loaded both.
+    """
+    script = textwrap.dedent("""
+        import sys
+        import pulsegate
+        names = dir(pulsegate)
+        missing = {*pulsegate.__all__, "u3", "bench"} - set(names)
+        assert not missing, missing
+        assert names == sorted(names), names
+        loaded = {"pulsegate.bench", "pulsegate.u3"} & set(sys.modules)
+        assert not loaded, loaded
     """)
     done = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True,
                           timeout=60)

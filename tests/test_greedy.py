@@ -947,3 +947,48 @@ class TestDeepEps:
         for k, t in enumerate(evaluation_dataset()):
             gate, _ = greedy_compile(t.unitary, axes, config)
             assert vector_part_error(t.unitary, gate) <= eps, k
+
+
+def k_min(n_axes: int) -> float:
+    """The least |n.a|/|a| the best scored axis reaches over all directions of a."""
+    c = math.cos(math.pi / (n_axes - 2))
+    return c / math.sqrt(1.0 + c * c)
+
+
+class TestDescentBound:
+    """Every accepted step lowers the error by at least rho = 2 - 2 k_min, so iterations are O(log 1/eps)."""
+
+    @pytest.mark.parametrize("n_axes", [5, 6, 7, 10, 18, 34])
+    def test_k_min_matches_a_sphere_grid(self, n_axes):
+        # the least, over a grid of directions u, of the largest n.u over +/-z and the XY phases
+        theta, psi = np.meshgrid(np.linspace(0.0, math.pi, 401), np.linspace(0.0, 2 * math.pi, 401))
+        u = (np.sin(theta) * np.cos(psi), np.sin(theta) * np.sin(psi), np.cos(theta))
+        best = np.abs(u[2])
+        for j in range(n_axes - 2):
+            phi = 2 * math.pi * j / (n_axes - 2)
+            best = np.maximum(best, math.cos(phi) * u[0] + math.sin(phi) * u[1])
+        assert k_min(n_axes) - 1e-12 <= best.min() <= k_min(n_axes) + 1e-2
+
+    def test_accepted_steps_descend_by_rho(self, monkeypatch):
+        ratios, step = [], greedy.best_axis_step
+
+        def spy(state, axes, angle):
+            i, error, new_state = step(state, axes, angle)
+            ratios.append(error / (state[1] ** 2 + state[2] ** 2 + state[3] ** 2))
+            return i, error, new_state
+
+        monkeypatch.setattr(greedy, "best_axis_step", spy)
+        targets = [t.unitary for t in evaluation_dataset()] + haar_targets(32, seed=16)
+        starts = [sum(x * x for x in quaternion(t)[1:]) for t in targets]
+        for n_axes in (6, 7, 10, 18, 34, 16386, 2**40 + 2):
+            axes, rho = allowed_axes(n_axes), 2.0 - 2.0 * k_min(n_axes)
+            for eps in (1e-4, 1e-12, EPS_FLOOR):
+                config = GreedyConfig(eps)
+                for k, (target, e0) in enumerate(zip(targets, starts)):
+                    ratios.clear()
+                    gate, report = greedy_compile(target, axes, config)
+                    where = (n_axes, eps, k)
+                    assert report.damped_steps == 0, where
+                    assert max(ratios, default=0.0) <= rho * (1 + 1e-9), where
+                    bound = math.ceil(math.log(e0 / eps) / math.log(1 / rho)) if e0 > eps else 0
+                    assert gate.iterations <= bound, where

@@ -17,12 +17,14 @@ from pulsegate import (
     pulse_count,
     sequence_unitary,
 )
+from pulsegate import ir
 from pulsegate.cli import NAMED_GATES
+from pulsegate.greedy import EPS_FLOOR
 from pulsegate.ir import (
     ANGLE_EPS,
+    PHASE_EPS,
     CompiledGate,
     VirtualZ,
-    canonical_step,
     canonical_virtual_z,
     canonical_xy,
     distance,
@@ -32,6 +34,7 @@ from pulsegate.ir import (
 from pulsegate.su2 import mod_2pi, rotation_unitary, rx, rz, xy_rotation
 
 from conftest import random_canonical_sequence
+from test_grid_schedules import haar_targets
 
 
 def phase_equal(u, v, tol=1e-12):
@@ -68,19 +71,16 @@ class TestCanonicalization:
         assert canonical_virtual_z(2 * math.pi) is None
 
     def test_canonical_pulse_passes_through(self, rng):
-        # folding a canonical pulse gives back the same floats, so the pulse
-        # itself is returned; phase -0.0 still folds to 0.0
-        edges = [(math.nextafter(2 * math.pi, 0), math.pi), (5e-324, ANGLE_EPS), (3.0, 1.0)]
+        # folding a canonical pulse gives back the same floats; phase -0.0 folds to +0.0
+        edges = [(math.nextafter(2 * math.pi, 0), math.pi), (5e-324, ANGLE_EPS), (0.0, 1.0), (3.0, 1.0)]
         draws = zip(rng.uniform(0, 2 * math.pi, 200), rng.uniform(ANGLE_EPS, math.pi, 200))
         for phase, angle in edges + [(float(p), float(a)) for p, a in draws]:
-            pulse = XYPulse(phase, angle)
-            assert canonical_step(pulse) is pulse
             folded = canonical_xy(phase, angle)
             assert (folded.phase.hex(), folded.angle.hex()) == (phase.hex(), angle.hex())
-        assert math.copysign(1.0, canonical_step(XYPulse(-0.0, 1.0)).phase) == 1.0
+        assert canonical_xy(-0.0, 1.0).phase.hex() == (0.0).hex()
 
     def test_full_turn_phase_folds_to_zero(self):
-        assert canonical_step(XYPulse(2 * math.pi, 1.0)).phase == 0.0
+        assert canonical_xy(2 * math.pi, 1.0).phase.hex() == (0.0).hex()
 
     def test_angle_eps_is_kept(self):
         assert canonical_xy(0.3, ANGLE_EPS) is not None
@@ -133,11 +133,19 @@ class TestMergeAdjacent:
         assert out == [XYPulse(2 * math.pi - 1e-13, 0.75)]
 
     def test_virtual_z_merge(self):
-        out = merge_adjacent([VirtualZ(0.3), VirtualZ(0.4)])
-        assert len(out) == 1 and out[0].alpha == pytest.approx(0.7)
+        # the merge returns frame shifts as given; absorb_virtual_z sums them
+        seq = [VirtualZ(0.3), VirtualZ(0.4)]
+        out = merge_adjacent(seq)
+        assert len(out) == 2 and all(got is step for got, step in zip(out, seq))
+        pulses, frame = absorb_virtual_z(seq)
+        assert pulses == [] and frame == pytest.approx(0.7)
 
     def test_full_turn_cancels(self):
-        assert merge_adjacent([XYPulse(0.3, 2 * math.pi)]) == []
+        # a pulse that folds with nothing comes back as given; absorb_virtual_z drops it
+        pulse = XYPulse(0.3, 2 * math.pi)
+        out = merge_adjacent([pulse])
+        assert len(out) == 1 and out[0] is pulse
+        assert absorb_virtual_z([pulse]) == ([], 0.0)
 
     def test_different_lines_do_not_merge(self):
         # the second pair's circular phase distance is exactly PHASE_EPS, outside the strict bound
@@ -161,8 +169,11 @@ class TestMergeAdjacent:
             assert phase_equal(sequence_unitary(out), sequence_unitary(seq))
 
     def test_cascading_cancellation(self):
+        # the pulses cancel, which leaves the frame shifts adjacent for absorb_virtual_z to sum
         seq = [VirtualZ(0.5), XYPulse(1.0, 0.7), XYPulse(1.0 + math.pi, 0.7), VirtualZ(-0.5)]
-        assert merge_adjacent(seq) == []
+        out = merge_adjacent(seq)
+        assert out == [VirtualZ(0.5), VirtualZ(-0.5)]
+        assert absorb_virtual_z(out) == ([], 0.0)
 
     def test_random_sequences_preserved(self, rng):
         for _ in range(300):
@@ -269,9 +280,9 @@ class TestCostMetrics:
 # --------------------------------------------------------------------------
 # The numpy calls and pass-throughs on the compile path, bit for bit against
 # the forms they replaced: a flat array reshaped against the nested-row
-# array, .dot against @, canonical_step's pass-through against folding, and
-# absorb's pass-through against its shift rule. On a numpy release where
-# .dot and @ round differently these fail by name, before any golden file does.
+# array, .dot against @, and absorb's pass-through against its shift rule.
+# On a numpy release where .dot and @ round differently these fail by name,
+# before any golden file does.
 
 ANGLES = st.one_of(
     st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, ANGLE_EPS, 5e-324]),
@@ -338,26 +349,78 @@ class TestNumpyCallsBitForBit:
             want = step_unitary(step) @ want
         assert bits(sequence_unitary(steps)) == bits(want)
 
-    @given(STEPS)
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_canonical_step_matches_the_fold(self, step):
-        # the pass-through of an already canonical step returns what folding would
-        if isinstance(step, VirtualZ):
-            want = canonical_virtual_z(step.alpha)
-        else:
-            want = canonical_xy(step.phase, step.angle)
-        got = canonical_step(step)
-        assert got == want and exact([got] if got else []) == exact([want] if want else [])
-
     @given(SCHEDULES)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_absorb_matches_shift_rule(self, steps):
-        # raw steps, as the greedy hands them over, and canonical ones after merging
+        # raw steps, as the greedy hands them over, and the same steps merged
         for seq in (steps, merge_adjacent(steps)):
             pulses, frame = absorb_virtual_z(seq)
             want, want_frame = absorb_by_shift_rule(seq)
             assert pulses == want and exact(pulses) == exact(want)
             assert frame.hex() == want_frame.hex()
+
+
+def canonicalizing_merge(steps) -> list:
+    """merge_adjacent as it was when it canonicalized every step first and summed frame shifts."""
+    out = []
+    for raw in steps:
+        if isinstance(raw, VirtualZ):
+            step = canonical_virtual_z(raw.alpha)
+        elif 0.0 < raw.phase < 2 * math.pi and ANGLE_EPS <= raw.angle <= math.pi:
+            step = raw  # already canonical
+        else:
+            step = canonical_xy(raw.phase, raw.angle)
+        while step is not None and out:
+            last = out[-1]
+            if type(last) is not type(step):
+                break
+            if isinstance(step, VirtualZ):
+                step = canonical_virtual_z(last.alpha + step.alpha)
+            else:
+                d = mod_2pi(last.phase - step.phase)
+                delta = min(d, 2.0 * math.pi - d)
+                if delta < PHASE_EPS:
+                    step = canonical_xy(last.phase, last.angle + step.angle)
+                elif abs(delta - math.pi) < PHASE_EPS:
+                    step = canonical_xy(last.phase, last.angle - step.angle)
+                else:
+                    break
+            out.pop()
+        if step is not None:
+            out.append(step)
+    return out
+
+
+class TestMergeOfAbsorbedPulses:
+    """On absorb_virtual_z's pulses the pulse-only merge gives the canonicalizing merge's bits."""
+
+    def test_greedy_compiles_match_the_canonicalizing_merge(self, monkeypatch):
+        raw, finish_ = [], ir.finish
+
+        def spy(target, steps, *args, **kwargs):
+            raw.append(list(steps))
+            return finish_(target, steps, *args, **kwargs)
+
+        monkeypatch.setattr(ir, "finish", spy)
+        # a half turn whose absorbed pulses fold at 6 axes (one pulse and ~1.886 rad shorter)
+        folding = rotation_unitary((math.cos(3 * math.pi / 14) / math.sqrt(2), 1 / math.sqrt(2),
+                                    math.sin(3 * math.pi / 14) / math.sqrt(2)), math.pi)
+        targets = [t.unitary for t in evaluation_dataset()] + haar_targets(32, seed=33) + [folding]
+        for n_axes in (6, 18, 16386):
+            axes = allowed_axes(n_axes)
+            for eps in (1e-4, 1e-12, EPS_FLOOR):
+                config = GreedyConfig(eps)
+                for target in targets:
+                    greedy_compile(target, axes, config)
+        assert len(raw) == 9 * len(targets)
+        phase_zero = folded = 0
+        for steps in raw:
+            pulses = absorb_virtual_z(steps)[0]
+            got = merge_adjacent(pulses)
+            assert exact(got) == exact(canonicalizing_merge(pulses))
+            phase_zero += any(p.phase == 0.0 for p in pulses)
+            folded += len(got) < len(pulses)
+        assert phase_zero > 0 and folded > 0
 
 
 def error_with_frame_factor(target, pulses) -> float:
