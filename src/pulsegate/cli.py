@@ -20,7 +20,6 @@ import cmath
 import functools
 import json
 import math
-import reprlib
 import sys
 from typing import NamedTuple
 
@@ -42,17 +41,21 @@ NAMED_GATES = {
     "SX": ((0.5 + 0.5j, 0.5 - 0.5j), (0.5 - 0.5j, 0.5 + 0.5j)),
 }
 
-# Shows an outside value, or an exception quoting one, in an error line of under
-# 200 characters: a few items, no nesting, long strings and numbers cut in the middle.
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel, _ECHO.maxdict, _ECHO.maxlist = 1, 3, 4
-_ECHO.maxstring, _ECHO.maxlong, _ECHO.maxother = 20, 20, 100
+def _echo(value) -> str:
+    """An outside value as the JSON text of an error line; `[...]` for one nested too deep to write.
+
+    An object JSON has no form for, which only a library caller can pass, shows as its repr in quotes.
+    """
+    try:
+        return json.dumps(value, default=repr)
+    except RecursionError:
+        return "[...]"
 
 
 def _error_line(exc: Exception) -> str:
-    """`error: <exc>`, cut to 200 characters around "..." as _ECHO cuts a string.
+    """`error: <exc>`, cut to its first 98 and last 99 characters around "..." when over 200.
 
-    It catches what _ECHO never sees: argparse's own errors, an OS error naming a long path.
+    The one cut of an error line: echoed values, argparse's errors and OS paths alike.
     """
     line = f"error: {exc}"
     return line if len(line) <= 200 else line[:98] + "..." + line[-99:]
@@ -95,7 +98,7 @@ def _matrix_from_json(data) -> tuple[tuple[complex, ...], ...]:
             return complex(_number(x, "matrix"))
         if pair(x):
             return complex(*(_number(v, "matrix") for v in x))
-        raise GateSpecError(f"matrix entry must be a number or [re, im] pair: {_ECHO.repr(x)}")
+        raise GateSpecError(f"matrix entry must be a number or [re, im] pair: {_echo(x)}")
 
     if not (pair(data) and all(map(pair, data))):
         raise GateSpecError("matrix must be 2x2")
@@ -134,7 +137,7 @@ def _numbers(description: dict, key: str) -> list[float]:
     """The 3 target numbers a description holds under `key`; errors name the key and the count."""
     values = description[key]
     if not isinstance(values, list):
-        raise GateSpecError(f"{key} needs a list of 3 numbers, got {_ECHO.repr(values)}")
+        raise GateSpecError(f"{key} needs a list of 3 numbers, got {_echo(values)}")
     if len(values) != 3:
         raise GateSpecError(f"{key} needs 3 numbers, got {len(values)}")
     return [_number(x, key, text=True) for x in values]
@@ -167,7 +170,7 @@ def _number(x, key: str, *, text: bool = False) -> float:
             raise TypeError
         value = _float(x) if isinstance(x, str) else float(x)
     except (TypeError, ValueError, OverflowError):
-        raise GateSpecError(f"malformed number in {key}: {_ECHO.repr(x)}") from None
+        raise GateSpecError(f"malformed number in {key}: {_echo(x)}") from None
     if not math.isfinite(value):
         raise GateSpecError(f"non-finite number in {key}")
     return value
@@ -183,15 +186,15 @@ def gate_spec_from_json(description) -> GateSpec:
     names upper-cased and matrix entries as [re, im] pairs.
     """
     if not isinstance(description, dict):
-        raise GateSpecError(f"unrecognized target spec: {_ECHO.repr(description)}")
+        raise GateSpecError(f"unrecognized target spec: {_echo(description)}")
     try:
         if "gate" in description:
             name = description["gate"]
             if not isinstance(name, str):
-                raise GateSpecError(f"gate needs a name, got {_ECHO.repr(name)}")
+                raise GateSpecError(f"gate needs a name, got {_echo(name)}")
             name = name.upper()
             if name not in NAMED_GATES:
-                raise GateSpecError(f"unknown gate {_ECHO.repr(name)}; known: {', '.join(NAMED_GATES)}")
+                raise GateSpecError(f"unknown gate {_echo(name)}; known: {', '.join(NAMED_GATES)}")
             description, u = {"gate": name}, NAMED_GATES[name]
         elif "euler" in description:
             euler = _numbers(description, "euler")
@@ -208,7 +211,7 @@ def gate_spec_from_json(description) -> GateSpec:
                 raise GateSpecError("matrix is not unitary within 1e-9")
             description = {"matrix": [[[x.real, x.imag] for x in row] for row in u]}
         else:
-            raise GateSpecError(f"unrecognized target spec: {_ECHO.repr(description)}")
+            raise GateSpecError(f"unrecognized target spec: {_echo(description)}")
     except GateSpecError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -313,15 +316,15 @@ def cmd_verify(args) -> int:
     given = any(getattr(args, name) is not None for name in TARGET_FLAGS)
     try:
         if not isinstance(doc, dict):
-            raise TypeError(f"the schedule must be a JSON object, got {_ECHO.repr(doc)}")
+            raise TypeError(f"the schedule must be a JSON object, got {_echo(doc)}")
         if not (isinstance(raw := doc["pulses"], list) and all(isinstance(p, dict) for p in raw)):
-            raise TypeError(f"pulses must be a list of objects, got {_ECHO.repr(raw)}")
+            raise TypeError(f"pulses must be a list of objects, got {_echo(raw)}")
         pulses = [ir.XYPulse(_number(p["phase_rad"], "phase_rad"), _number(p["angle_rad"], "angle_rad"))
                   for p in raw]
         frame, declared, eps_target = (_number(doc[f], f) for f in ("frame_phase_rad", "epsilon", "eps_target"))
         target = None if given else doc["target"]
     except KeyError as exc:
-        raise CommandError(f"malformed schedule: missing field {exc}") from exc
+        raise CommandError(f"malformed schedule: missing field {_echo(exc.args[0])}") from exc
     except (TypeError, ValueError) as exc:
         raise CommandError(f"malformed schedule: {exc}") from exc
     spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)

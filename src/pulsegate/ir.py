@@ -7,7 +7,8 @@ hardware. Passes here are exact up to global phase:
 
   * absorb_virtual_z -- pushes every virtual-Z into the phases of later
     pulses, leaving canonical physical pulses plus one trailing frame
-    shift; it alone owns frame shifts and the canonical form
+    shift; it alone owns frame shifts and the canonical form, and its
+    mod_2pi of their sum is the one place a shift is folded
   * merge_adjacent  -- folds a canonical schedule's adjacent same-line
     pulses together
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .su2 import hs_fidelity, mod_2pi, mod_pm_pi, rz, xy_rotation
+from .su2 import hs_fidelity, mod_2pi, rz, xy_rotation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,14 +72,6 @@ def canonical_xy(phase: float, angle: float) -> Optional[XYPulse]:
     if a < ANGLE_EPS:
         return None
     return XYPulse(mod_2pi(phase), a)
-
-
-def canonical_virtual_z(alpha: float) -> Optional[VirtualZ]:
-    """Canonical form: alpha in (-pi, pi], nonzero; None if trivial."""
-    a = mod_pm_pi(alpha)
-    if abs(a) < ANGLE_EPS:
-        return None
-    return VirtualZ(a)
 
 
 def sequence_unitary(steps: PulseSequence) -> np.ndarray:

@@ -46,14 +46,6 @@ def mod_2pi(angle: float) -> float:
     return a + 0.0  # -0.0 (from fmod of -2 pi) becomes 0.0
 
 
-def mod_pm_pi(angle: float) -> float:
-    """Fold an angle into (-pi, pi]."""
-    a = mod_2pi(angle)
-    if a > math.pi:
-        a -= TWO_PI
-    return a
-
-
 def entries(u) -> tuple[complex, complex, complex, complex]:
     """(u00, u01, u10, u11) of a 2x2 as Python complex; an ndarray is read through tolist().
 

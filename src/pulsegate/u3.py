@@ -11,6 +11,9 @@ Under this package's z convention the schedule realizing
 euler_matrix(theta, phi, lam) is, in time order:
 
     Z_{lam - pi}, X_{pi/2}, Z_{pi - theta}, X_{pi/2}, Z_{phi}
+
+u3_sequence returns these five steps as they are, a zero shift included:
+`ir.absorb_virtual_z`, inside `ir.finish`, is the one place a shift is folded.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ from .su2 import euler_zxz
 
 
 def u3_sequence(theta: float, phi: float, lam: float) -> list[ir.PulseStep]:
-    """Time-ordered two-pulse schedule for euler_matrix(theta, phi, lam)."""
+    """Time-ordered two-pulse schedule for euler_matrix(theta, phi, lam): always five steps."""
     x90 = ir.XYPulse(0.0, math.pi / 2.0)
-    steps = (ir.canonical_virtual_z(lam - math.pi), x90, ir.canonical_virtual_z(math.pi - theta),
-             x90, ir.canonical_virtual_z(phi))
-    return [step for step in steps if step is not None]  # a trivial shift is None
+    return [ir.VirtualZ(lam - math.pi), x90, ir.VirtualZ(math.pi - theta), x90, ir.VirtualZ(phi)]
 
 
 def u3_compile(target) -> tuple[ir.CompiledGate, ir.CompileReport]:

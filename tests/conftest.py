@@ -39,11 +39,11 @@ def random_unitary(rng) -> np.ndarray:
 
 
 def random_canonical_sequence(rng, max_len: int = 20) -> list:
-    """Random schedule of canonical virtual-Z and XY steps."""
+    """Random schedule of virtual-Z steps in [-pi, pi) and canonical XY steps."""
     steps = []
     for _ in range(rng.integers(0, max_len + 1)):
         if rng.random() < 0.4:
-            step = ir.canonical_virtual_z(rng.uniform(-math.pi, math.pi))
+            step = ir.VirtualZ(rng.uniform(-math.pi, math.pi))
         else:
             step = ir.canonical_xy(
                 rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi)

@@ -128,7 +128,14 @@ class TestGateSpecs:
     def test_unknown_gate_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--gate", "Q")
         assert code == 2
-        assert err == "error: unknown gate 'Q'; known: I, X, Y, Z, H, S, T, SX\n"
+        assert err == 'error: unknown gate "Q"; known: I, X, Y, Z, H, S, T, SX\n'
+
+    def test_description_without_a_json_form_is_a_gate_spec_error(self):
+        # only a library caller can pass one; the echo shows its repr, and raises nothing else
+        with pytest.raises(cli.GateSpecError, match="^unrecognized target spec: \"array"):
+            cli.gate_spec_from_json(np.eye(2))
+        with pytest.raises(cli.GateSpecError, match="^gate needs a name, got \""):
+            cli.gate_spec_from_json({"gate": np.int64(3)})
 
     def test_axis_angle_spec(self, capsys):
         code, out, _ = run_cli(
@@ -279,9 +286,9 @@ class TestUsageErrors:
             (["compile", "--axis", "0,0,1"], "error: --axis requires --angle\n"),
             (
                 ["compile", "--matrix", '[[1, "a"], [0, 1]]'],
-                "error: matrix entry must be a number or [re, im] pair: 'a'\n",
+                'error: matrix entry must be a number or [re, im] pair: "a"\n',
             ),
-            (["compile", "--matrix", '[[["1",0],0],[0,1]]'], "error: malformed number in matrix: '1'\n"),
+            (["compile", "--matrix", '[[["1",0],0],[0,1]]'], 'error: malformed number in matrix: "1"\n'),
         ],
         ids=["axis-without-angle", "matrix-entry", "matrix-pair-string"],
     )
@@ -326,6 +333,19 @@ class TestUsageErrors:
         code, out, err = _outcome(["verify", "--schedule", str(path)])
         assert code == (1 if pulse else 2) and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201, err
+
+    def test_matrix_entry_nested_to_the_parse_limit_is_one_line(self):
+        # json.dumps can run out of stack on an entry json.loads could still read; the echo
+        # then prints [...], and past the parse limit the matrix cannot be read at all
+        for depth in range(1, sys.getrecursionlimit() + 100):
+            entry = "[" * depth + "]" * depth
+            code, out, err = _outcome(["compile", f"--matrix=[[{entry}, 0], [0, 1]]"])
+            assert code == 2 and out == "", depth
+            assert err.startswith("error:") and err.count("\n") == 1 and len(err) <= 201, (depth, err)
+            if err.startswith("error: cannot read matrix:"):
+                break
+        else:
+            pytest.fail("no nesting depth reached the parse limit")
 
     @pytest.mark.parametrize(
         "content", [NOT_UTF8, DEEP.encode(), None], ids=["file-not-utf8", "file-deep", "inline-deep"]
@@ -873,11 +893,11 @@ class TestVerifyRobustness:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: {**doc, "pulses": {}}, "pulses must be a list of objects, got {}"),
-        (lambda doc: {**doc, "pulses": ""}, "pulses must be a list of objects, got ''"),
-        (lambda doc: {**doc, "pulses": {"x": 1}}, "pulses must be a list of objects, got {'x': 1}"),
+        (lambda doc: {**doc, "pulses": ""}, 'pulses must be a list of objects, got ""'),
+        (lambda doc: {**doc, "pulses": {"x": 1}}, 'pulses must be a list of objects, got {"x": 1}'),
         (lambda doc: {**doc, "pulses": [[]]}, "pulses must be a list of objects, got [[]]"),
-        (lambda doc: {**doc, "pulses": None}, "pulses must be a list of objects, got None"),
-        (lambda doc: [doc], "the schedule must be a JSON object, got [{...}]"),
+        (lambda doc: {**doc, "pulses": None}, "pulses must be a list of objects, got null"),
+        (lambda doc: [doc["target"]], 'the schedule must be a JSON object, got [{"gate": "H"}]'),
     ], ids=["empty-object", "empty-string", "object", "list-of-lists", "null", "document-list"])
     def test_wrong_shape_is_malformed(self, capsys, tmp_path, edit, message):
         # an empty object or string is not a schedule without pulses, and no shape may
@@ -968,8 +988,8 @@ class TestVerifyRobustness:
     @pytest.mark.parametrize("change, message", [
         (lambda d: d.update(epsilon=math.nan), "non-finite number in epsilon"),
         (lambda d: d["pulses"][0].update(angle_rad=math.inf), "non-finite number in angle_rad"),
-        (lambda d: d.pop("pulses"), "missing field 'pulses'"),
-        (lambda d: d["pulses"][0].pop("phase_rad"), "missing field 'phase_rad'"),
+        (lambda d: d.pop("pulses"), 'missing field "pulses"'),
+        (lambda d: d["pulses"][0].pop("phase_rad"), 'missing field "phase_rad"'),
     ], ids=["nan-epsilon", "inf-angle", "no-pulses", "no-phase"])
     def test_malformed_schedule_message(self, capsys, tmp_path, change, message):
         # the message itself, with no exception class name around it
@@ -1005,10 +1025,10 @@ TARGET_FORMS = [
     pytest.param(["--euler=1,2"], {"euler": [1, 2]}, "euler needs 3 numbers, got 2", id="euler-count"),
     pytest.param(["--axis=0,0,1,0", "--angle=1"], {"axis": [0, 0, 1, 0], "angle": 1},
                  "axis needs 3 numbers, got 4", id="axis-count"),
-    pytest.param(["--euler=1,abc,3"], {"euler": [1, "abc", 3]}, "malformed number in euler: 'abc'",
+    pytest.param(["--euler=1,abc,3"], {"euler": [1, "abc", 3]}, 'malformed number in euler: "abc"',
                  id="euler-number"),
     pytest.param(["--axis=0,x,1", "--angle=1"], {"axis": [0, "x", 1], "angle": 1},
-                 "malformed number in axis: 'x'", id="axis-number"),
+                 'malformed number in axis: "x"', id="axis-number"),
     pytest.param(["--euler=inf,0,0"], {"euler": [math.inf, 0, 0]}, "non-finite number in euler",
                  id="euler-inf"),
     pytest.param(["--axis=0,0,1", "--angle=inf"], {"axis": [0, 0, 1], "angle": math.inf},
@@ -1017,50 +1037,50 @@ TARGET_FORMS = [
     pytest.param(["--euler=0,1e308,1e308"], {"euler": [0, 1e308, 1e308]},
                  "target unitary is not finite", id="euler-sum-overflows"),
     pytest.param(None, {"gate": 5}, "gate needs a name, got 5", id="gate-int"),
-    pytest.param(None, {"gate": ["H"]}, "gate needs a name, got ['H']", id="gate-list"),
-    pytest.param(None, {"gate": {"a": 1}}, "gate needs a name, got {'a': 1}", id="gate-dict"),
-    pytest.param(None, {"gate": None}, "gate needs a name, got None", id="gate-null"),
+    pytest.param(None, {"gate": ["H"]}, 'gate needs a name, got ["H"]', id="gate-list"),
+    pytest.param(None, {"gate": {"a": 1}}, 'gate needs a name, got {"a": 1}', id="gate-dict"),
+    pytest.param(None, {"gate": None}, "gate needs a name, got null", id="gate-null"),
     pytest.param(None, {"axis": [0, 0, 1]}, 'axis target needs "angle"', id="axis-no-angle"),
-    pytest.param(["--axis=0,0,1", "--angle=x"], {"axis": [0, 0, 1], "angle": "x"}, "malformed number in angle: 'x'",
+    pytest.param(["--axis=0,0,1", "--angle=x"], {"axis": [0, 0, 1], "angle": "x"}, 'malformed number in angle: "x"',
                  id="angle-number"),
-    pytest.param(None, {"axis": [0, 0, 1], "angle": None}, "malformed number in angle: None", id="angle-null"),
+    pytest.param(None, {"axis": [0, 0, 1], "angle": None}, "malformed number in angle: null", id="angle-null"),
     # a number given as text is plain ASCII: float() would also read Python's literal forms
-    pytest.param(["--euler=1_0,0,0"], {"euler": ["1_0", 0, 0]}, "malformed number in euler: '1_0'",
+    pytest.param(["--euler=1_0,0,0"], {"euler": ["1_0", 0, 0]}, 'malformed number in euler: "1_0"',
                  id="euler-underscore"),
-    pytest.param(["--euler=\u0661,0,0"], {"euler": ["\u0661", 0, 0]}, "malformed number in euler: '\u0661'",
+    pytest.param(["--euler=\u0661,0,0"], {"euler": ["\u0661", 0, 0]}, 'malformed number in euler: "\\u0661"',
                  id="euler-arabic-indic-digit"),
     pytest.param(["--axis=0,0,1", "--angle=1_0"], {"axis": [0, 0, 1], "angle": "1_0"},
-                 "malformed number in angle: '1_0'", id="angle-underscore"),
+                 'malformed number in angle: "1_0"', id="angle-underscore"),
     pytest.param(["--axis=0,0,\uff11", "--angle=1"], {"axis": [0, 0, "\uff11"], "angle": 1},
-                 "malformed number in axis: '\uff11'", id="axis-fullwidth-digit"),
+                 'malformed number in axis: "\\uff11"', id="axis-fullwidth-digit"),
     pytest.param(["--euler=nan,0,0"], {"euler": ["nan", 0, 0]}, "non-finite number in euler", id="euler-nan-text"),
     pytest.param(["--euler=1, 2, 3"], {"euler": ["1", " 2", " 3 "]}, None, id="euler-spaces"),
     pytest.param(None, {"euler": 5}, "euler needs a list of 3 numbers, got 5", id="euler-not-a-list"),
-    pytest.param(None, {"euler": "1,2,3"}, "euler needs a list of 3 numbers, got '1,2,3'", id="euler-string"),
-    # an echoed value is cut in the middle: 10**400 has 401 digits
-    pytest.param(None, {"euler": [1, 2, 10**400]}, "malformed number in euler: 10000000...000000000",
+    pytest.param(None, {"euler": "1,2,3"}, 'euler needs a list of 3 numbers, got "1,2,3"', id="euler-string"),
+    # an error line over 200 characters is cut in the middle: 10**400 has 401 digits
+    pytest.param(None, {"euler": [1, 2, 10**400]}, "malformed number in euler: 1" + "0" * 63 + "..." + "0" * 99,
                  id="euler-int-too-large"),
     pytest.param(None, 5, "unrecognized target spec: 5", id="target-int"),
-    # an echo shows only the top level: a short nested value prints as [...]
-    pytest.param(None, {"foo": [1, 2]}, "unrecognized target spec: {'foo': [...]}", id="target-nested-short"),
-    pytest.param(None, {"matrix": [[10**400, 0], [0, 1]]}, "malformed number in matrix: 10000000...000000000",
+    # an echo is the JSON text, nested values included
+    pytest.param(None, {"foo": [1, 2]}, 'unrecognized target spec: {"foo": [1, 2]}', id="target-nested-short"),
+    pytest.param(None, {"matrix": [[10**400, 0], [0, 1]]}, "malformed number in matrix: 1" + "0" * 62 + "..." + "0" * 99,
                  id="matrix-int-too-large"),
     pytest.param(None, {"matrix": [1, 2]}, "matrix must be 2x2", id="matrix-flat"),
-    pytest.param(None, {"matrix": [[["a", 0], 0], [0, 1]]}, "malformed number in matrix: 'a'",
+    pytest.param(None, {"matrix": [[["a", 0], 0], [0, 1]]}, 'malformed number in matrix: "a"',
                  id="matrix-pair-string"),
     # a matrix has no flag form, so a number written as a string is malformed, though float() reads it
-    pytest.param(None, {"matrix": [[["1", 0], 0], [0, 1]]}, "malformed number in matrix: '1'",
+    pytest.param(None, {"matrix": [[["1", 0], 0], [0, 1]]}, 'malformed number in matrix: "1"',
                  id="matrix-pair-numeric-string"),
-    pytest.param(None, {"matrix": [[[" 1_0 ", 0], [0, 0]], [[0, 0], [1, 0]]]}, "malformed number in matrix: ' 1_0 '",
+    pytest.param(None, {"matrix": [[[" 1_0 ", 0], [0, 0]], [[0, 0], [1, 0]]]}, 'malformed number in matrix: " 1_0 "',
                  id="matrix-pair-underscore-string"),
     # a JSON true or false is not a number, though Python's bool is an int
-    pytest.param(None, {"matrix": [[True, False], [False, True]]}, "malformed number in matrix: True",
+    pytest.param(None, {"matrix": [[True, False], [False, True]]}, "malformed number in matrix: true",
                  id="matrix-bool"),
-    pytest.param(None, {"matrix": [[[1, False], 0], [0, 1]]}, "malformed number in matrix: False",
+    pytest.param(None, {"matrix": [[[1, False], 0], [0, 1]]}, "malformed number in matrix: false",
                  id="matrix-pair-bool"),
-    pytest.param(None, {"axis": [0, 0, 1], "angle": True}, "malformed number in angle: True", id="angle-bool"),
-    pytest.param(None, {"axis": [0, False, 1], "angle": 1}, "malformed number in axis: False", id="axis-bool"),
-    pytest.param(None, {"euler": [1, True, 3]}, "malformed number in euler: True", id="euler-bool"),
+    pytest.param(None, {"axis": [0, 0, 1], "angle": True}, "malformed number in angle: true", id="angle-bool"),
+    pytest.param(None, {"axis": [0, False, 1], "angle": 1}, "malformed number in axis: false", id="axis-bool"),
+    pytest.param(None, {"euler": [1, True, 3]}, "malformed number in euler: true", id="euler-bool"),
 ]
 
 

@@ -992,3 +992,11 @@ class TestDescentBound:
                     assert max(ratios, default=0.0) <= rho * (1 + 1e-9), where
                     bound = math.ceil(math.log(e0 / eps) / math.log(1 / rho)) if e0 > eps else 0
                     assert gate.iterations <= bound, where
+
+    def test_five_axes_can_damp(self):
+        # k_min(5) < 1/2, so the bound above does not hold there and the damping loop can run;
+        # this target takes one halving, and the compile still meets its target
+        assert 2.0 - 2.0 * k_min(5) > 1.0
+        gate, report = greedy_compile(rz(2.4) @ rx(1.5), allowed_axes(5), GreedyConfig(1e-4))
+        assert (report.damped_steps, gate.iterations) == (1, 8)
+        assert gate.epsilon <= 1e-4

@@ -25,7 +25,6 @@ from pulsegate.ir import (
     PHASE_EPS,
     CompiledGate,
     VirtualZ,
-    canonical_virtual_z,
     canonical_xy,
     distance,
     finish,
@@ -67,8 +66,6 @@ class TestCanonicalization:
     def test_trivial_steps_drop(self):
         assert canonical_xy(1.0, 0.0) is None
         assert canonical_xy(1.0, 2 * math.pi) is None
-        assert canonical_virtual_z(0.0) is None
-        assert canonical_virtual_z(2 * math.pi) is None
 
     def test_canonical_pulse_passes_through(self, rng):
         # folding a canonical pulse gives back the same floats; phase -0.0 folds to +0.0
@@ -84,10 +81,6 @@ class TestCanonicalization:
 
     def test_angle_eps_is_kept(self):
         assert canonical_xy(0.3, ANGLE_EPS) is not None
-
-    def test_virtual_z_range(self):
-        z = canonical_virtual_z(1.5 * math.pi)
-        assert z.alpha == pytest.approx(-0.5 * math.pi)
 
 
 class TestSequenceUnitary:
@@ -361,30 +354,24 @@ class TestNumpyCallsBitForBit:
 
 
 def canonicalizing_merge(steps) -> list:
-    """merge_adjacent as it was when it canonicalized every step first and summed frame shifts."""
+    """merge_adjacent as it was when it canonicalized every pulse first; it is fed pulses only."""
+    assert all(isinstance(raw, XYPulse) for raw in steps)
     out = []
     for raw in steps:
-        if isinstance(raw, VirtualZ):
-            step = canonical_virtual_z(raw.alpha)
-        elif 0.0 < raw.phase < 2 * math.pi and ANGLE_EPS <= raw.angle <= math.pi:
+        if 0.0 < raw.phase < 2 * math.pi and ANGLE_EPS <= raw.angle <= math.pi:
             step = raw  # already canonical
         else:
             step = canonical_xy(raw.phase, raw.angle)
         while step is not None and out:
             last = out[-1]
-            if type(last) is not type(step):
-                break
-            if isinstance(step, VirtualZ):
-                step = canonical_virtual_z(last.alpha + step.alpha)
+            d = mod_2pi(last.phase - step.phase)
+            delta = min(d, 2.0 * math.pi - d)
+            if delta < PHASE_EPS:
+                step = canonical_xy(last.phase, last.angle + step.angle)
+            elif abs(delta - math.pi) < PHASE_EPS:
+                step = canonical_xy(last.phase, last.angle - step.angle)
             else:
-                d = mod_2pi(last.phase - step.phase)
-                delta = min(d, 2.0 * math.pi - d)
-                if delta < PHASE_EPS:
-                    step = canonical_xy(last.phase, last.angle + step.angle)
-                elif abs(delta - math.pi) < PHASE_EPS:
-                    step = canonical_xy(last.phase, last.angle - step.angle)
-                else:
-                    break
+                break
             out.pop()
         if step is not None:
             out.append(step)

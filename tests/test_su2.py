@@ -14,7 +14,7 @@ from pulsegate.su2 import (
     is_unitary,
     rotation_unitary,
 )
-from pulsegate.su2 import mod_2pi, mod_pm_pi, quaternion, rx, rz, xy_rotation
+from pulsegate.su2 import mod_2pi, quaternion, rx, rz, xy_rotation
 
 from conftest import random_axis, random_unitary
 
@@ -237,9 +237,6 @@ class TestModTwoPi:
 
     def test_tiny_negative_folds_below_two_pi(self):
         assert 0.0 <= mod_2pi(-1e-300) < 2 * math.pi
-
-    def test_pi_is_the_top_of_the_signed_range(self):
-        assert mod_pm_pi(math.pi) == math.pi
 
 
 class TestConventions:

@@ -42,11 +42,14 @@ class TestU3Sequence:
         assert abs(hs_fidelity(sequence_unitary(seq), np.eye(2)) - 1.0) < 1e-12
 
     def test_always_two_physical_pulses(self, rng):
+        # always five steps: a zero shift (theta = pi, phi = 0, lam = pi) is kept for finish to fold
         theta = rng.uniform(0, math.pi)
         phi, lam = rng.uniform(0, 2 * math.pi, 2)
-        seq = u3_sequence(theta, phi, lam)
-        assert pulse_count(seq) == 2
-        assert all(p.angle == math.pi / 2 for p in seq if isinstance(p, XYPulse))
+        for angles in [(theta, phi, lam), (math.pi, 0.0, math.pi), (math.pi, phi, lam), (theta, 0.0, lam)]:
+            seq = u3_sequence(*angles)
+            assert [type(step) for step in seq] == [VirtualZ, XYPulse, VirtualZ, XYPulse, VirtualZ]
+            assert pulse_count(seq) == 2
+            assert all(p.angle == math.pi / 2 for p in seq if isinstance(p, XYPulse))
 
     def test_matches_euler_matrix(self, rng):
         for _ in range(100):
