@@ -143,35 +143,23 @@ def _numbers(description: dict, key: str) -> list[float]:
     return [_number(x, key, text=True) for x in values]
 
 
-def _text_number(kind: type):
-    """`kind` (int or float) of a number written as text; raises ValueError for `_` or non-ASCII.
+def _number(x, key: str, kind: type = float, *, text: bool = False) -> float | int:
+    """`x`, a finite JSON number, as `kind` (float or int); flags and target numbers pass `text`.
 
-    int() and float() also read Python's literal forms, `1_0` as 10 and an
-    Arabic-Indic `١` as 1. Surrounding spaces stay allowed.
+    Errors name `key`. Text is plain ASCII without `_`, surrounding spaces allowed: int() and
+    float() also read Python's literal forms, `1_0` as 10 and an Arabic-Indic `١` as 1.
     """
-
-    def read(text: str):
-        if not text.isascii() or "_" in text:
-            raise ValueError(f"invalid {kind.__name__} value: {text!r}")
-        return kind(text)
-
-    read.__name__ = kind.__name__  # argparse names a type= function in its usage error
-    return read
-
-
-_int, _float = _text_number(int), _text_number(float)
-
-
-def _number(x, key: str, *, text: bool = False) -> float:
-    """`x`, a finite JSON number, as a float; target numbers pass `text`, as flags do; errors name `key`."""
     try:
-        # Python's bool is an int, but a JSON true or false is not a number
-        if isinstance(x, bool) or (isinstance(x, str) and not text):
+        # Python's bool is an int, but a JSON true or false is not a number; nor is 1.0 an int
+        if isinstance(x, bool) or (kind is int and isinstance(x, float)):
             raise TypeError
-        value = _float(x) if isinstance(x, str) else float(x)
+        if isinstance(x, str) and not (text and x.isascii() and "_" not in x):
+            raise TypeError
+        value = kind(x)
     except (TypeError, ValueError, OverflowError):
         raise GateSpecError(f"malformed number in {key}: {_echo(x)}") from None
-    if not math.isfinite(value):
+    # only a float can be non-finite, and math.isfinite cannot take an int as large as 10**400
+    if isinstance(value, float) and not math.isfinite(value):
         raise GateSpecError(f"non-finite number in {key}")
     return value
 
@@ -268,30 +256,30 @@ def _add_gate_spec_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_compile(args) -> int:
+    # the flags are read first, so a malformed one is reported before a target error
+    n_axes = _number(args.axes, "--axes", int, text=True)
+    eps_target = _number(args.epsilon, "--epsilon", text=True)
     spec = resolve_gate_spec(args)
-    config = GreedyConfig(eps_target=args.epsilon)  # validates --epsilon for --baseline too
-    axes = None if args.baseline else allowed_axes(args.axes)
+    config = GreedyConfig(eps_target)  # validates --epsilon for --baseline too
+    axes = None if args.baseline else allowed_axes(n_axes)
     try:
         gate, _ = u3_compile(spec.unitary) if axes is None else greedy_compile(spec.unitary, axes, config)
     except CompileError as exc:
         steps = len(exc.steps)
         raise CommandError(f"compilation failed: {exc} (best error {exc.error:.12g}, {steps} steps)") from exc
-    n_axes = 0 if axes is None else args.axes
     if args.format == "json":
-        sys.stdout.write(schedule_to_json(spec, n_axes, args.epsilon, gate))
+        sys.stdout.write(schedule_to_json(spec, 0 if axes is None else n_axes, eps_target, gate))
     else:
         sys.stdout.write(schedule_to_text(gate))
     return 0
 
 
 def cmd_bench(args) -> int:
-    try:
-        axes_list = [_int(x) for x in args.axes_list.split(",")]
-        lo, hi = (_int(x) for x in args.eps_decades.split(":"))
-    except ValueError as exc:
-        raise GateSpecError(f"malformed bench arguments: {exc}") from exc
-    if lo < 1 or hi < lo:
+    axes_list = [_number(x, "--axes-list", int, text=True) for x in args.axes_list.split(",")]
+    decades = [_number(x, "--eps-decades", int, text=True) for x in args.eps_decades.split(":")]
+    if len(decades) != 2 or not 1 <= decades[0] <= decades[1]:
         raise GateSpecError("need eps decades LO:HI with 1 <= LO <= HI")
+    lo, hi = decades
     # each decade is checked as it is made, so a huge HI stops at the floor; decades
     # start at most at 400, where 10.0 ** (-k) is 0.0, since k must fit in a float
     eps_list = [GreedyConfig(10.0 ** (-k)).eps_target for k in range(min(lo, 400), hi + 1)]
@@ -322,6 +310,7 @@ def cmd_verify(args) -> int:
         pulses = [ir.XYPulse(_number(p["phase_rad"], "phase_rad"), _number(p["angle_rad"], "angle_rad"))
                   for p in raw]
         frame, declared, eps_target = (_number(doc[f], f) for f in ("frame_phase_rad", "epsilon", "eps_target"))
+        claims = (_number(doc["distance_rad"], "distance_rad"), _number(doc["pulse_count"], "pulse_count", int))
         target = None if given else doc["target"]
     except KeyError as exc:
         raise CommandError(f"malformed schedule: missing field {_echo(exc.args[0])}") from exc
@@ -330,8 +319,12 @@ def cmd_verify(args) -> int:
     spec = resolve_gate_spec(args) if given else gate_spec_from_json(target)
     eps = ir.schedule_error(spec.unitary, pulses, frame)
     ok = eps <= min(declared, eps_target) + ir.ERROR_SLACK
-    print(f"achieved epsilon: {eps:.17g} (declared {declared:.17g}) -> {'OK' if ok else 'MISMATCH'}")
-    return 0 if ok else 1
+    # the cost fields are exactly those of the pulses as written, canonical or not
+    costs = zip(("distance_rad", "pulse_count"), claims, (ir.distance(pulses), len(pulses)))
+    wrong = [f"{field}: {true} (declared {claim}) -> MISMATCH" for field, claim, true in costs if claim != true]
+    print(*wrong, f"achieved epsilon: {eps:.17g} (declared {declared:.17g}) -> {'OK' if ok else 'MISMATCH'}",
+          sep="\n")
+    return 0 if ok and not wrong else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile one gate")
     _add_gate_spec_flags(p_compile)
-    p_compile.add_argument("--axes", type=_int, default=18, help="number of allowed axes (default 18)")
-    p_compile.add_argument("--epsilon", type=_float, default=1e-4, help="target gate error (default 1e-4)")
+    p_compile.add_argument("--axes", default=18, help="number of allowed axes (default 18)")
+    p_compile.add_argument("--epsilon", default=1e-4, help="target gate error (default 1e-4)")
     p_compile.add_argument("--baseline", action="store_true", help="use the fixed two-pulse baseline")
     p_compile.add_argument("--format", choices=("json", "text"), default="json")
 

@@ -222,6 +222,43 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.endswith("-> OK\n")
 
+    @pytest.mark.parametrize("field, value, line", [
+        ("distance_rad", 0.001, "distance_rad: 1.5707963267948966 (declared 0.001) -> MISMATCH"),
+        ("pulse_count", 99, "pulse_count: 1 (declared 99) -> MISMATCH"),
+    ])
+    def test_false_cost_field_is_a_mismatch(self, capsys, tmp_path, field, value, line):
+        # the error is met, so the epsilon line still reads OK; the false field fails the file
+        path = self.compile_to_file(capsys, tmp_path, "compile", "--gate", "H")
+        _, honest, _ = run_cli(capsys, "verify", "--schedule", str(path))
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "verify", "--schedule", str(path)) == (1, f"{line}\n{honest}", "")
+
+    def test_non_canonical_pulses_verify_when_the_costs_count_them(self, capsys, tmp_path):
+        # a phase past 2*pi and a zero-angle pulse are physically valid, but they are pulses
+        path = self.compile_to_file(capsys, tmp_path, "compile", "--gate", "H")
+        doc = json.loads(path.read_text())
+        doc["pulses"] = [{**p, "phase_rad": p["phase_rad"] + 2 * math.pi} for p in doc["pulses"]]
+        doc["pulses"].append({"phase_rad": 0.0, "angle_rad": 0.0})
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--schedule", str(path))
+        assert code == 1 and out.startswith("pulse_count: 2 (declared 1) -> MISMATCH\n")
+        doc["pulse_count"] = 2
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--schedule", str(path))
+        assert (code, err) == (0, "") and out.startswith("achieved epsilon:") and out.endswith("-> OK\n")
+
+    @pytest.mark.parametrize("value", [1.0, 1.5])
+    def test_pulse_count_that_is_not_a_json_integer_is_malformed(self, capsys, tmp_path, value):
+        # 1.0 is not read as 1
+        path = self.compile_to_file(capsys, tmp_path, "compile", "--gate", "H")
+        doc = json.loads(path.read_text())
+        doc["pulse_count"] = value
+        path.write_text(json.dumps(doc))
+        message = f"error: malformed schedule: malformed number in pulse_count: {value}\n"
+        assert run_cli(capsys, "verify", "--schedule", str(path)) == (1, "", message)
+
 
 class TestSerialization:
     FLOAT_KEYS = ("eps_target", "frame_phase_rad", "epsilon", "distance_rad")
@@ -459,23 +496,44 @@ class TestUsageErrors:
         assert err == "error: eps_target must be in [1e-24, 1)\n"
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize(
-        "argv, err",
-        [
-            (["--epsilon", "1_0e-5"], "argument --epsilon: invalid float value: '1_0e-5'"),
-            (["--epsilon", "1e-\u0664"], "argument --epsilon: invalid float value: '1e-\u0664'"),
-            (["--axes", "1_8"], "argument --axes: invalid int value: '1_8'"),
-            (["--axes", "\u0661\u0668"], "argument --axes: invalid int value: '\u0661\u0668'"),
-            (["bench", "--axes-list", "6,1_0"], "malformed bench arguments: invalid int value: '1_0'"),
-            (["bench", "--eps-decades", "1:\u0661"], "malformed bench arguments: invalid int value: '\u0661'"),
-        ],
-        ids=["epsilon-underscore", "epsilon-arabic-indic", "axes-underscore", "axes-arabic-indic",
-             "axes-list-underscore", "eps-decades-arabic-indic"],
-    )
-    def test_number_text_in_a_python_literal_form_is_usage_error(self, argv, err):
-        # int() and float() would read 1_8 as 18 and an Arabic-Indic digit as its value
-        argv = argv if argv[0] == "bench" else ["compile", "--gate", "H", *argv]
-        assert _outcome(argv) == (2, "", f"error: {err}\n")
+    @pytest.mark.parametrize("flag, text, echo", [
+        pytest.param(flag, text, echo, id=f"{flag[2:]}-{form}")
+        for flag in ("--axes", "--epsilon", "--axes-list", "--eps-decades")
+        for form, text, echo in [
+            ("underscore", "1_0", '"1_0"'),
+            ("arabic-indic", "\u0661", '"\\u0661"'),
+            ("letters", "abc", '"abc"'),
+            ("empty", "", '""'),
+        ]
+    ])
+    def test_number_text_in_a_python_literal_form_is_usage_error(self, flag, text, echo):
+        # int() and float() would read 1_0 as 10 and an Arabic-Indic digit as its value; every
+        # number flag refuses those, letters and empty text in one message that echoes JSON
+        command = ["bench"] if flag in ("--axes-list", "--eps-decades") else ["compile", "--gate", "H"]
+        assert _outcome([*command, flag, text]) == (2, "", f"error: malformed number in {flag}: {echo}\n")
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_epsilon_names_its_flag(self, text):
+        argv = ["compile", "--gate", "H", f"--epsilon={text}"]
+        assert _outcome(argv) == (2, "", "error: non-finite number in --epsilon\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--gate", "Q", "--axes", "abc"],
+        ["compile", "--axes", "abc"],
+        ["compile", "--euler=1,2", "--axes", "abc", "--baseline"],
+    ], ids=["unknown-gate", "no-target", "short-euler-baseline"])
+    def test_a_malformed_flag_is_reported_before_the_target(self, argv):
+        assert _outcome(argv) == (2, "", 'error: malformed number in --axes: "abc"\n')
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--eps-decades", "1"], "need eps decades LO:HI with 1 <= LO <= HI"),
+        (["--eps-decades", "1:2:3"], "need eps decades LO:HI with 1 <= LO <= HI"),
+        (["--axes-list", ",6"], 'malformed number in --axes-list: ""'),
+        (["--axes-list", "6,,10"], 'malformed number in --axes-list: ""'),
+    ], ids=["one-decade", "three-decades", "leading-comma", "double-comma"])
+    def test_wrong_shaped_bench_list_is_usage_error(self, argv, err):
+        # these printed Python's own unpack and int() errors
+        assert _outcome(["bench", *argv]) == (2, "", f"error: {err}\n")
 
     def test_number_text_keeps_surrounding_spaces(self):
         spaced = _outcome(["compile", "--euler=1, 2, 3", "--axes", " 6 ", "--epsilon", " 1e-3\t"])
@@ -951,7 +1009,8 @@ class TestVerifyRobustness:
         assert field in err
 
     @pytest.mark.parametrize("value", [True, False, "0.5", " 1_0 "])
-    @pytest.mark.parametrize("field", ["phase_rad", "angle_rad", "frame_phase_rad", "epsilon", "eps_target"])
+    @pytest.mark.parametrize(
+        "field", ["phase_rad", "angle_rad", "frame_phase_rad", "epsilon", "eps_target", "distance_rad", "pulse_count"])
     def test_boolean_is_malformed(self, capsys, tmp_path, field, value):
         # and any other non-number: Python's bool is an int, and float() reads
         # strings, but a JSON true, false or string is not a number
