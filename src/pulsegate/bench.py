@@ -79,7 +79,7 @@ def run_sweep(
     """Compile the evaluation dataset for every (n_axes, eps_target) pair.
 
     Every axis count and eps_target is validated before the first
-    compile. Failures (stall or iteration budget) are counted per row and
+    compile. Failures (any CompileError) are counted per row and
     excluded from the means; time_mean_s averages the wall-clock time of
     each successful greedy_compile call, measured here with
     time.perf_counter and automatic garbage collection paused. With

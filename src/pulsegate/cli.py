@@ -20,6 +20,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -157,7 +158,11 @@ def _number(x, key: str, kind: type = float, *, text: bool = False) -> float | i
             raise TypeError
         value = kind(x)
     except (TypeError, ValueError, OverflowError):
-        raise GateSpecError(f"malformed number in {key}: {_echo(x)}") from None
+        # int() refuses a text integer of over 4,300 digits (Python's int-string limit); a Decimal reads it
+        if not (kind is int and text and isinstance(x, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", x, re.ASCII)):
+            raise GateSpecError(f"malformed number in {key}: {_echo(x)}") from None
+        import decimal
+        value = int(decimal.Decimal(x))
     # only a float can be non-finite, and math.isfinite cannot take an int as large as 10**400
     if isinstance(value, float) and not math.isfinite(value):
         raise GateSpecError(f"non-finite number in {key}")

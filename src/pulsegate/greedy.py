@@ -7,9 +7,7 @@ vector part rather than taken as 1 - F, so it does not cancel near
 F = 1. Starting from the identity, the loop tries the coaxial residual
 angle 2 atan2(|a|, |a0|) about the allowed axes, keeps the axis that
 lowers |a|^2 the most, and repeats until |a|^2 drops to the requested
-threshold. If no axis lowers it, the trial angle is halved (the
-residual-angle rule assumes the ideal axis is available; damping
-guarantees termination).
+threshold. A step that lowers no error raises CompileError.
 
 An XY axis at drive phase phi enters a step only through
 n.a = |a_xy| cos(phi - psi), with psi = atan2(ay, ax), and the step's
@@ -23,12 +21,12 @@ a0 (n.a) <= 0 and k = |n.a|/|a| leaves the error ratio
 (1 - k^2) + x (1 - k)^2, x = a0^2/(a0^2 + |a|^2) in [0, 1], so at most
 2 - 2k. Among the scored axes every state has one with
 k >= k_min = cos(pi/m)/sqrt(1 + cos^2(pi/m)), m = n_axes - 2. So for
-n_axes >= 6 (k_min > 1/2) each step, undamped, lowers the error by at
-least rho = 2 - 2 k_min, and a compile from error e0 takes at most
+n_axes >= 6 (k_min > 1/2) each step lowers the error by at least
+rho = 2 - 2 k_min <= 0.845, and a compile from error e0 takes at most
 ceil(ln(e0/eps)/ln(1/rho)) iterations (tests/test_greedy.py,
-TestDescentBound).
+TestDescentBound). Hence the minimum of 6 axes: at 5, 2 - 2 k_min > 1.
 
-Allowed axes are the +/- z lines plus n_axes - 2 >= 3 phases uniform on
+Allowed axes are the +/- z lines plus n_axes - 2 >= 4 phases uniform on
 the XY-plane, so +/-x and +/-y are always present when 4 | (n_axes - 2).
 An axis is its index in set order. Z-line steps are recorded as free
 virtual-Z shifts; `ir.finish` then absorbs the virtual-Zs into pulse
@@ -43,11 +41,6 @@ from typing import NamedTuple
 
 from . import ir
 from .su2 import TWO_PI, entries, quaternion
-
-# Stall safeguards: iteration budget, trial-angle halving, damping floor (radians).
-MAX_ITERS = 10_000
-DAMPING_FACTOR = 0.5
-MIN_ANGLE = 1e-12
 
 # A later candidate axis replaces the best so far only when its error is
 # lower by more than TIE_RTOL * (|a|^2 + s^2), s = sin(angle / 2): the
@@ -84,14 +77,6 @@ class CompileError(RuntimeError):
         self.error = error
 
 
-class MaxItersError(CompileError):
-    """Iteration budget exhausted before reaching the target error."""
-
-
-class NoProgressError(CompileError):
-    """Damping floor reached with no error-lowering axis."""
-
-
 class AxisSet(NamedTuple):
     """Allowed axes in set order: +z, -z, then the n_axes - 2 XY phases ascending."""
 
@@ -108,9 +93,9 @@ def allowed_axes(n_axes: int) -> AxisSet:
         n_axes = operator.index(n_axes)
     except TypeError:
         raise InvalidConfigurationError(f"n_axes must be an integer, got {n_axes!r}") from None
-    # with 4 axes the two XY phases 0 and pi lie on one line, and most targets stall
-    if n_axes < 5:
-        raise InvalidConfigurationError(f"n_axes must be >= 5, got {n_axes}")
+    if n_axes < 6:
+        import decimal  # str() refuses an int of over 4,300 digits; a Decimal writes any int
+        raise InvalidConfigurationError(f"n_axes must be >= 6, got {decimal.Decimal(n_axes)}")
     if n_axes > MAX_AXES:
         raise InvalidConfigurationError(f"n_axes must be <= {MAX_AXES}")
     return AxisSet(n_axes)
@@ -205,9 +190,11 @@ def greedy_compile(
 ) -> tuple[ir.CompiledGate, ir.CompileReport]:
     """Compile the 2x2 unitary `target` (an array or nested rows) to error <= eps_target.
 
-    Accepted steps strictly lower the error, so the loop terminates on
-    the error test on the common path; MAX_ITERS and the damping floor
-    are safety nets, and a non-finite target stops at the damping floor.
+    Each step must strictly lower the error, or CompileError is raised,
+    so the error falls through a finite set of doubles and the loop ends;
+    by the descent bound above it ends within
+    ceil(ln(e0/eps)/ln(1/rho)) steps, at most 329 at EPS_FLOOR. A
+    non-finite target raises CompileError at its first step.
     `ir.finish` runs the finishing passes (absorb, then merge), which
     are exact, and the final gate is re-verified against the target.
     """
@@ -215,28 +202,18 @@ def greedy_compile(
     state = quaternion(((t00.conjugate(), t10.conjugate()), (t01.conjugate(), t11.conjugate())))
     error = state[1] ** 2 + state[2] ** 2 + state[3] ** 2
     steps: list[ir.PulseStep] = []
-    damped = 0
     while not error <= config.eps_target:
-        if len(steps) >= MAX_ITERS:
-            raise MaxItersError(f"no convergence within {MAX_ITERS} iterations", steps, error)
         angle = 2.0 * math.atan2(math.sqrt(error), abs(state[0]))
-        while True:
-            i, best, new_state = best_axis_step(state, axes, angle)
-            if best < error:
-                break
-            angle *= DAMPING_FACTOR
-            damped += 1
-            if not angle >= MIN_ANGLE:
-                raise NoProgressError(
-                    "damping floor reached with no improving axis", steps, error
-                )
+        i, best, new_state = best_axis_step(state, axes, angle)
+        if not best < error:
+            raise CompileError("no axis lowers the error", steps, error)
         if i < 2:  # the +z or -z line: a free virtual-Z shift
             steps.append(ir.VirtualZ((1 - 2 * i) * angle))
         else:
             steps.append(ir.XYPulse(axes.phase(i), angle))
         state, error = new_state, best
 
-    gate, report = ir.finish(target, steps, len(steps), damped, merge=True)
+    gate, report = ir.finish(target, steps, len(steps), merge=True)
     if not gate.epsilon <= config.eps_target + ir.ERROR_SLACK:
         raise CompileError(
             f"post-pass error {gate.epsilon} exceeds target {config.eps_target}",

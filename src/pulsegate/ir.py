@@ -176,7 +176,7 @@ class CompileReport(NamedTuple):
     """Per-compilation diagnostics the gate itself does not carry."""
 
     iterations: int
-    damped_steps: int
+    damped_steps: int  # always 0, as no compiler damps a step; perfbench's counters still read it
     pre_pass_distance: float
     pre_pass_pulse_count: int
     post_pass_pulse_count: int
@@ -193,7 +193,6 @@ def finish(
     target,
     steps: PulseSequence,
     iterations: int,
-    damped_steps: int,
     *,
     merge: bool,
 ) -> tuple[CompiledGate, CompileReport]:
@@ -208,4 +207,4 @@ def finish(
         pulses = merge_adjacent(pulses)
     gate = CompiledGate(tuple(pulses), frame_phase, schedule_error(target, pulses, frame_phase),
                         distance(pulses), len(pulses), iterations)
-    return gate, CompileReport(iterations, damped_steps, *_costs(steps), len(pulses))
+    return gate, CompileReport(iterations, 0, *_costs(steps), len(pulses))

@@ -35,4 +35,4 @@ def u3_compile(target) -> tuple[ir.CompiledGate, ir.CompileReport]:
     e = euler_zxz(target)
     # no merge pass: the two pulses must stay distinct even when the interior
     # z rotation vanishes (theta = pi), because the baseline's cost is fixed
-    return ir.finish(target, u3_sequence(e.theta, e.phi, e.lam), 0, 0, merge=False)
+    return ir.finish(target, u3_sequence(e.theta, e.phi, e.lam), 0, merge=False)

@@ -461,17 +461,38 @@ class TestUsageErrors:
         assert err == f"error: n_axes must be <= {MAX_AXES}\n"
 
     def test_too_few_axes_is_usage_error(self, capsys):
-        for n in ("3", "4"):
+        for n in ("3", "4", "5"):
             code, _, err = run_cli(capsys, "compile", "--gate", "H", "--axes", n)
-            assert code == 2 and err == f"error: n_axes must be >= 5, got {n}\n"
+            assert code == 2 and err == f"error: n_axes must be >= 6, got {n}\n"
             code, _, err = run_cli(capsys, "bench", "--axes-list", n, "--eps-decades", "1:1")
-            assert code == 2 and err == f"error: n_axes must be >= 5, got {n}\n"
+            assert code == 2 and err == f"error: n_axes must be >= 6, got {n}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compile", "--gate", "H", "--axes", "{9}"], f"n_axes must be <= {MAX_AXES}"),
+        (["compile", "--gate", "H", "--axes", "-{9}"], "n_axes must be >= 6, got -" + "9" * 65 + "..." + "9" * 99),
+        (["bench", "--axes-list", "{9}", "--eps-decades", "1:1"], f"n_axes must be <= {MAX_AXES}"),
+        (["bench", "--axes-list", "6", "--eps-decades", "1:{9}"], "eps_target must be in [1e-24, 1)"),
+    ], ids=["compile-axes", "compile-axes-negative", "bench-axes-list", "bench-eps-decades-hi"])
+    def test_integer_flag_of_any_length_gives_its_range_error(self, argv, message):
+        # int() refuses text of over 4,300 digits, and str() an int that long: 5,000 nines
+        # read and echo as 400 do, and the line is cut to the same 200 characters
+        for digits in (400, 5000):
+            code, out, err = _outcome([arg.replace("{9}", "9" * digits) for arg in argv])
+            assert (code, out, err) == (2, "", f"error: {message}\n"), digits
+
+    @pytest.mark.parametrize("text", ["9" * 5000 + ".0", "9" * 5000 + "e1", "\x1c" + "9" * 5000],
+                             ids=["fraction", "exponent", "file-separator-pad"])
+    def test_long_text_that_int_would_refuse_anyway_is_malformed(self, text):
+        # only a text integer too long for int() is read another way; a Decimal would take these
+        code, out, err = _outcome(["compile", "--gate", "H", "--axes", text])
+        assert (code, out) == (2, "") and err.startswith("error: malformed number in --axes: ")
 
     def test_compile_failure_is_one_line(self, monkeypatch):
-        monkeypatch.setattr(greedy, "MAX_ITERS", 1)
+        # a step that lowers no error is the loop's one failure; it carries the error it stalled at
+        monkeypatch.setattr(greedy, "best_axis_step", lambda state, axes, angle: (0, math.inf, state))
         code, out, err = _outcome(["compile", "--gate", "H", "--axes", "6", "--epsilon", "1e-8"])
         assert code == 1 and out == ""
-        assert err == "error: compilation failed: no convergence within 1 iterations (best error 0.5, 1 steps)\n"
+        assert err == "error: compilation failed: no axis lowers the error (best error 1, 0 steps)\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -28,8 +28,6 @@ from pulsegate.greedy import (
     EPS_FLOOR,
     MAX_AXES,
     InvalidConfigurationError,
-    MaxItersError,
-    NoProgressError,
     best_axis_step,
 )
 from pulsegate.su2 import quaternion, rx, rz, xy_rotation
@@ -135,12 +133,16 @@ class TestAllowedAxes:
         assert np.allclose(np.diff(phases), math.pi / 4)
 
     def test_too_few_axes_rejected(self):
-        with pytest.raises(InvalidConfigurationError):
-            allowed_axes(3)
-        # the two XY phases of a 4-axis set, 0 and pi, lie on one line
-        with pytest.raises(InvalidConfigurationError):
-            allowed_axes(4)
-        assert allowed_axes(5).n_axes == 5
+        # the two XY phases of a 4-axis set, 0 and pi, lie on one line, and at 5 axes a
+        # step can lower nothing (TestDescentBound::test_five_axes_can_stall)
+        for n in (3, 4, 5):
+            with pytest.raises(InvalidConfigurationError, match=f"^n_axes must be >= 6, got {n}$"):
+                allowed_axes(n)
+        assert allowed_axes(6).n_axes == 6
+        # a count of over 4,300 digits, which str() refuses to write, is echoed in full too
+        with pytest.raises(InvalidConfigurationError) as info:
+            allowed_axes(-(10**5000))
+        assert str(info.value) == "n_axes must be >= 6, got -1" + "0" * 5000
 
     def test_count_must_be_an_integer(self):
         # a float count once built fractional "uniform" phases: 6.5 gave a first XY phase of 0.2963
@@ -269,8 +271,8 @@ class TestBestAxisStep:
 
     def test_scan_order_matches_set_order_bit_for_bit(self):
         # the XY candidates are visited without a set, repeats included; at m = 3
-        # every scan repeats an index, and lo = hi needs m <= 2, so n_axes 3 and 4
-        # are built as AxisSet directly, below allowed_axes' floor
+        # every scan repeats an index, and lo = hi needs m <= 2, so n_axes 3, 4
+        # and 5 are built as AxisSet directly, below allowed_axes' floor
         draw = random.Random(7)
         pi_below = math.nextafter(math.pi, 0.0)
         sizes = [3, 4, *range(5, 43), 16386, 2**40 + 2]
@@ -380,7 +382,7 @@ class TestClosedFormStep:
         # seeded finite states: each component is a special value (signed
         # zeros, units, the smallest magnitudes) or uniform in [-1, 1]
         draw = random.Random(2).random
-        axes = {n: allowed_axes(n) for n in STEP_SIZES}
+        axes = {n: greedy.AxisSet(n) for n in STEP_SIZES}  # 5 axes is below allowed_axes' floor
         for _ in range(20_000):
             state = tuple(
                 SPECIAL_COMPONENTS[int(len(SPECIAL_COMPONENTS) * draw())]
@@ -573,8 +575,8 @@ class TestWindow:
         # lo = floor(psi m / 2 pi) lands on either side of a grid phase when
         # psi is within a few ulps of it, and the nearest phase must still be
         # lo or lo + 1; centres include phase 0 (the wrap at 0 and 2 pi), pi
-        # and the midpoints next to them
-        axes = allowed_axes(n_axes)
+        # and the midpoints next to them; 5 axes is below allowed_axes' floor
+        axes = greedy.AxisSet(n_axes)
         m = n_axes - 2
         step = 2.0 * math.pi / m
         centres = [0.0, math.pi, step, -step, math.pi + step, step / 2, -step / 2, math.pi + step / 2]
@@ -624,10 +626,8 @@ def replay(target, axes, eps):
     while error > eps:
         angle = 2.0 * math.atan2(math.sqrt(error), abs(state[0]))
         i, best, new = best_axis_step(state, axes, angle)
-        while not best < error:
-            angle *= greedy.DAMPING_FACTOR
-            assert angle >= greedy.MIN_ANGLE
-            i, best, new = best_axis_step(state, axes, angle)
+        if not best < error:
+            break  # a stall, where greedy_compile raises CompileError
         out.append((state, angle, i, error, best))
         state, error = new, best
     return out
@@ -732,52 +732,33 @@ class TestGreedyCompile:
         assert report.post_pass_pulse_count == gate.pulse_count
 
     def test_nan_target_fails_loudly(self):
-        # no axis lowers a NaN error, and the halved NaN trial angle fails the damping floor test
-        target = np.full((2, 2), math.nan, dtype=complex)
-        for n_axes in (6, 18, 16386):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NoProgressError) as info:
-                    greedy_compile(target, allowed_axes(n_axes), GreedyConfig(1e-4))
-            assert info.value.steps == [] and math.isnan(info.value.error), n_axes
+        # NaN, inf and 1e308 entries all make a NaN loop state, and no axis lowers a NaN
+        # error: the compile raises at its first step
+        for entry in (math.nan, math.inf, 1e308):
+            target = np.full((2, 2), entry, dtype=complex)
+            for n_axes in (6, 18, 16386):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(CompileError) as info:
+                        greedy_compile(target, allowed_axes(n_axes), GreedyConfig(1e-4))
+                where = (entry, n_axes)
+                assert str(info.value) == "no axis lowers the error", where
+                assert info.value.steps == [] and math.isnan(info.value.error), where
 
-    def test_stalled_step_halves_the_angle_down_to_the_floor(self, monkeypatch):
-        # no candidate lowers the error, so each retry halves the trial angle; this target's
-        # start angle is MIN_ANGLE * 2**40 exactly, and a trial at MIN_ANGLE itself still runs
+    def test_stalled_step_fails_without_a_retry(self, monkeypatch):
+        # one trial per step: the first that lowers nothing raises, with no smaller trial angle
         angles = []
 
         def stalled(state, axes, angle):
             angles.append(angle)
-            assert len(angles) < 100, "the trial angle does not shrink"
             return 0, state[1] ** 2 + state[2] ** 2 + state[3] ** 2, state  # the error as it was
 
         monkeypatch.setattr(greedy, "best_axis_step", stalled)
-        with pytest.raises(NoProgressError) as info:
-            greedy_compile(rx(1.099511627776), allowed_axes(6), GreedyConfig(1e-4))
-        assert info.value.steps == []
-        assert angles == [greedy.MIN_ANGLE * 2.0 ** (40 - k) for k in range(41)]
-
-    def test_damped_steps_are_counted(self, monkeypatch):
-        # the first two trials improve nothing, then the real step runs at a quarter angle
-        step, angles = greedy.best_axis_step, []
-
-        def stall_twice(state, axes, angle):
-            angles.append(angle)
-            return (0, math.inf, state) if len(angles) <= 2 else step(state, axes, angle)
-
-        monkeypatch.setattr(greedy, "best_axis_step", stall_twice)
-        gate, report = greedy_compile(rx(1.0), allowed_axes(6), GreedyConfig(1e-4))
-        assert report.damped_steps == 2
-        assert angles[2] == angles[0] * greedy.DAMPING_FACTOR ** 2
-        assert gate.epsilon <= 1e-4
-
-    def test_iteration_budget_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(greedy, "MAX_ITERS", 1)
-        t_sx = rz(math.pi / 4) @ rx(math.pi / 2)
-        with pytest.raises(MaxItersError) as info:
-            greedy_compile(t_sx, allowed_axes(6), GreedyConfig(1e-8))
-        assert len(info.value.steps) == 1
-        assert info.value.error == pytest.approx(0.151, abs=5e-4)
+        with pytest.raises(CompileError) as info:
+            greedy_compile(rx(1.0), allowed_axes(6), GreedyConfig(1e-4))
+        assert str(info.value) == "no axis lowers the error" and info.value.steps == []
+        assert info.value.error == pytest.approx(math.sin(0.5) ** 2, rel=1e-15)
+        assert angles == [pytest.approx(1.0, rel=1e-15)]
 
     def test_post_pass_miss_fails_loudly(self, monkeypatch):
         # the finished schedule is re-checked against eps_target + ERROR_SLACK; a miss
@@ -879,9 +860,9 @@ class TestFinishingPasses:
         # the frame shifts moves phases, frame and epsilon in their last bits
         raw, finish = [], ir.finish
 
-        def spy(target, steps, iterations, damped_steps, **kwargs):
-            raw.append((list(steps), damped_steps))
-            return finish(target, steps, iterations, damped_steps, **kwargs)
+        def spy(target, steps, *args, **kwargs):
+            raw.append(list(steps))
+            return finish(target, steps, *args, **kwargs)
 
         def turn(a, b):
             return abs(math.remainder(a - b, 2 * math.pi))
@@ -894,14 +875,14 @@ class TestFinishingPasses:
                 for k, target in enumerate(targets):
                     raw.clear()
                     gate, report = greedy_compile(target, axes, GreedyConfig(eps))
-                    [(steps, damped)] = raw
+                    [steps] = raw
                     pulses, frame = ir.absorb_virtual_z(ir.merge_adjacent(steps))
                     pulses = ir.merge_adjacent(pulses)
                     where = (n_axes, eps, k)
                     assert [p.angle.hex() for p in gate.pulses] == [p.angle.hex() for p in pulses], where
                     assert gate.distance.hex() == ir.distance(pulses).hex(), where
                     assert gate.iterations == len(steps), where
-                    assert report == ir.CompileReport(len(steps), damped, ir.distance(steps),
+                    assert report == ir.CompileReport(len(steps), 0, ir.distance(steps),
                                                       ir.pulse_count(steps), len(pulses)), where
                     assert all(turn(p.phase, q.phase) <= 1e-14 for p, q in zip(gate.pulses, pulses)), where
                     assert turn(gate.frame_phase, frame) <= 1e-14, where
@@ -926,7 +907,7 @@ class TestDeepEps:
     @given(
         q=haar_quaternions,
         phase=st.floats(0.0, 2.0 * math.pi),
-        n_axes=st.one_of(st.integers(5, 64), st.sampled_from([16386, 10**12])),
+        n_axes=st.one_of(st.integers(6, 64), st.sampled_from([16386, 10**12])),
         log_eps=st.floats(math.log10(EPS_FLOOR), math.log10(0.5), exclude_max=True),
     )
     def test_every_finite_unitary_compiles_or_raises(self, q, phase, n_axes, log_eps):
@@ -993,10 +974,16 @@ class TestDescentBound:
                     bound = math.ceil(math.log(e0 / eps) / math.log(1 / rho)) if e0 > eps else 0
                     assert gate.iterations <= bound, where
 
-    def test_five_axes_can_damp(self):
-        # k_min(5) < 1/2, so the bound above does not hold there and the damping loop can run;
-        # this target takes one halving, and the compile still meets its target
+    def test_five_axes_can_stall(self):
+        # k_min(5) < 1/2, so the bound above does not hold there: after five steps no axis
+        # lowers this target's error, and the compile raises with those steps and that error
         assert 2.0 - 2.0 * k_min(5) > 1.0
-        gate, report = greedy_compile(rz(2.4) @ rx(1.5), allowed_axes(5), GreedyConfig(1e-4))
-        assert (report.damped_steps, gate.iterations) == (1, 8)
-        assert gate.epsilon <= 1e-4
+        target, axes = rz(2.4) @ rx(1.5), greedy.AxisSet(5)  # below allowed_axes' floor
+        with pytest.raises(CompileError) as info:
+            greedy_compile(target, axes, GreedyConfig(1e-4))
+        assert type(info.value) is CompileError and str(info.value) == "no axis lowers the error"
+        replayed = replay(target, axes, 1e-4)
+        assert len(replayed) == 5 and replayed[-1][4] > 1e-4
+        assert info.value.error == replayed[-1][4]
+        for step, (_, angle, i, *_) in zip(info.value.steps, replayed, strict=True):
+            assert step == (ir.VirtualZ((1 - 2 * i) * angle) if i < 2 else XYPulse(axes.phase(i), angle))

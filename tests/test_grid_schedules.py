@@ -24,7 +24,7 @@ DATA = Path(__file__).parent / "data"
 PINNED = DATA / "grid_schedules.txt"
 PINNED_BEYOND = DATA / "beyond_grid_schedules.txt"
 
-BEYOND_AXES = (5, 7, 16386, 10**12, MAX_AXES)
+BEYOND_AXES = (6, 7, 16386, 10**12, MAX_AXES)
 BEYOND_EPS = (1e-4, 1e-12, 1e-20, EPS_FLOOR)
 
 
@@ -60,7 +60,8 @@ SPECIAL_TARGETS = [
 def cell_digest(targets, n_axes: int, eps: float, with_damping: bool = False) -> str:
     """sha256 over a cell's schedules: pulse phases and angles, frame phase, epsilon, iterations.
 
-    `with_damping` adds each compile's count of damped (halved) trial angles.
+    `with_damping` adds each compile's `damped_steps`, 0 in every report;
+    the beyond-grid rows were pinned with it.
     """
     axes, config = allowed_axes(n_axes), GreedyConfig(eps_target=eps)
     h = hashlib.sha256()

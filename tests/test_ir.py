@@ -470,10 +470,10 @@ class TestFinishCounts:
     @example([XYPulse(0.3, -1.0), VirtualZ(0.5), XYPulse(7.0, 1.5), XYPulse(0.0, 0.0)], False)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_finish_counts_raw_steps_and_finished_pulses(self, steps, merge):
-        gate, report = finish(np.eye(2), steps, 7, 3, merge=merge)
+        gate, report = finish(np.eye(2), steps, 7, merge=merge)
         raw_angles = [step.angle for step in steps if isinstance(step, XYPulse)]
         assert report.pre_pass_distance == math.fsum(raw_angles)
         assert report.pre_pass_pulse_count == len(raw_angles)
         assert gate.distance == math.fsum([pulse.angle for pulse in gate.pulses])
         assert gate.pulse_count == len(gate.pulses) == report.post_pass_pulse_count
-        assert (gate.iterations, report.iterations, report.damped_steps) == (7, 7, 3)
+        assert (gate.iterations, report.iterations, report.damped_steps) == (7, 7, 0)
