@@ -317,6 +317,12 @@ def cmd_verify(args) -> int:
         frame, declared, eps_target = (_number(doc[f], f) for f in ("frame_phase_rad", "epsilon", "eps_target"))
         claims = (_number(doc["distance_rad"], "distance_rad"), _number(doc["pulse_count"], "pulse_count", int))
         target = None if given else doc["target"]
+        # the settings a compile writes must be ones it accepts: n_axes 0 is the baseline
+        if n_axes := _number(doc["n_axes"], "n_axes", int):
+            allowed_axes(n_axes)
+        if (iterations := _number(doc["iterations"], "iterations", int)) < 0:
+            raise ValueError(f"iterations must be >= 0, got {iterations}")
+        GreedyConfig(eps_target)
     except KeyError as exc:
         raise CommandError(f"malformed schedule: missing field {_echo(exc.args[0])}") from exc
     except (TypeError, ValueError) as exc:

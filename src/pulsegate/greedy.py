@@ -9,19 +9,22 @@ angle 2 atan2(|a|, |a0|) about the allowed axes, keeps the axis that
 lowers |a|^2 the most, and repeats until |a|^2 drops to the requested
 threshold. A step that lowers no error raises CompileError.
 
-An XY axis at drive phase phi enters a step only through
-n.a = |a_xy| cos(phi - psi), with psi = atan2(ay, ax), and the step's
-error is concave in that product, so the best XY axis is always the grid
-phase nearest to psi or to psi + pi. Each step therefore scores +/-z and
-at most 4 XY phases, the two grid neighbours of each, whatever the size
-of the set.
+A trial rotation by t about the unit axis n leaves the error
+E(k) = |a|^2 + s^2 a0^2 + 2 c s a0 k - s^2 k^2, c = cos(t/2),
+s = sin(t/2), a concave quadratic in k = n.a alone. An XY axis at drive
+phase phi has k = |a_xy| cos(phi - psi), with psi = atan2(ay, ax), so
+the best XY axis is always the grid phase nearest to psi or to psi + pi.
+Each step therefore ranks +/-z and at most 4 XY phases, the two grid
+neighbours of each, whatever the size of the set, by E(k), and builds
+the new state of the winner alone.
 
 Descent bound (the paper's O(log 1/eps)): a step about an axis n with
 a0 (n.a) <= 0 and k = |n.a|/|a| leaves the error ratio
 (1 - k^2) + x (1 - k)^2, x = a0^2/(a0^2 + |a|^2) in [0, 1], so at most
-2 - 2k. Among the scored axes every state has one with
-k >= k_min = cos(pi/m)/sqrt(1 + cos^2(pi/m)), m = n_axes - 2. So for
-n_axes >= 6 (k_min > 1/2) each step lowers the error by at least
+2 - 2k. This is E(k) / |a|^2 above at the residual angle, for a unit
+state and k read as |n.a|/|a|. Among the ranked axes every state has
+one with k >= k_min = cos(pi/m)/sqrt(1 + cos^2(pi/m)), m = n_axes - 2.
+So for n_axes >= 6 (k_min > 1/2) each step lowers the error by at least
 rho = 2 - 2 k_min <= 0.845, and a compile from error e0 takes at most
 ceil(ln(e0/eps)/ln(1/rho)) iterations (tests/test_greedy.py,
 TestDescentBound). Hence the minimum of 6 axes: at 5, 2 - 2 k_min > 1.
@@ -124,63 +127,79 @@ def best_axis_step(state: State, axes: AxisSet, step_angle: float) -> tuple[int,
     `state` is (a0, ax, ay, az) of A = U T^dag. The rotation
     (c, s n), c = cos(t/2), s = sin(t/2), maps it to
     (c a0 - s n.a, c a + s a0 n + s n x a), whose error is the squared
-    vector part. Each candidate is scored in closed form, without the
-    terms of n that are zero:
+    vector part, E(k) = |a|^2 + s^2 a0^2 + 2 c s a0 k - s^2 k^2 in
+    k = n.a (the module docstring). Each candidate is ranked by E(k),
+    with k = +/-az for +/-z and k = |a_xy| cos(w j - psi) for XY phase
+    index j, w = 2 pi / m, m = n_axes - 2. Only the winner's new state is
+    built, term by term and without the terms of n that are zero:
       +/-z:          b = (c ax -/+ s ay, c ay +/- s ax, c az +/- s a0),
                      n.a = +/- az;
-      XY phase phi:  n = (cos phi, sin phi, 0),
+      XY phase phi:  phi = 2 pi j / m, n = (cos phi, sin phi, 0),
                      b = (c ax + s (a0 nx + ny az), c ay + s (a0 ny - nx az),
                           c az + s (nx ay - ny ax)),
-                     n.a = nx ax + ny ay.
-    The winner keeps its n.a, and its new scalar part is b0 = c a0 - s n.a.
+                     n.a = nx ax + ny ay;
+    its new scalar part is b0 = c a0 - s n.a, and the returned error is
+    bx^2 + by^2 + bz^2, never E(k) itself.
     Only +/-z and the XY phase indices lo, lo + 1 around psi and hi,
-    hi + 1 around psi + pi are scored (a non-finite state scores only
-    +/-z). Reduced mod m and ordered so that lo <= hi, they are visited
+    hi + 1 around psi + pi are ranked (with ax or ay NaN, psi is NaN and
+    only +/-z are). Reduced mod m and ordered so that lo <= hi, they are visited
     as (lo, lo + 1, hi, hi + 1), or as (0, lo, lo + 1, hi) when hi + 1
     wraps to 0, so each index first appears in ascending order; an index
-    met again scores the same error, which cannot beat a best that never
+    met again ranks the same E, which cannot beat a best that never
     rose, so the scan is the set-order scan of the distinct indices.
     Here lo = floor(psi m / 2 pi), and that product is within a few ulps
     of its exact value: while those ulps stay below half a grid step (m
     up to about 2**50), the phase nearest to psi is lo or lo + 1, and
-    beyond that a phase one step off scores within the tie margin of the
-    nearest. A later candidate wins only when its error is lower by more
+    beyond that a phase one step off ranks within the tie margin of the
+    nearest. A later candidate wins only when its E is lower by more
     than the TIE_RTOL margin, so ties break to the first axis in set
     order.
+    Precondition: |a0| <= 1, which holds for every state that a target
+    accepted by `su2.is_unitary` produces. Then each term of E is at
+    most a few times |a|^2 + s^2, and E's rounding is of the order of
+    1e-4 of the margin (4.1e-16 (|a|^2 + s^2) at most, measured on unit
+    states), so E ranks the candidates as their built states' errors do
+    unless two differ by the margin to within that rounding. A state
+    with |a0| far above 1 can rank differently; a state with a
+    non-finite component always gives index 0.
     """
     cos, sin = math.cos, math.sin
     a0, ax, ay, az = state
     c, s = cos(step_angle / 2.0), sin(step_angle / 2.0)
-    cx, cy, cz = c * ax, c * ay, c * az
-    margin = TIE_RTOL * (ax * ax + ay * ay + az * az + s * s)
-    sx, sy, s0 = s * ax, s * ay, s * a0
-    # +z (index 0) is the first candidate, then -z (index 1); `best` is the
-    # winner's (n.a, bx, by, bz)
-    bx, by, bz = cx - sy, cy + sx, cz + s0
-    best_i, best_error, best = 0, bx * bx + by * by + bz * bz, (az, bx, by, bz)
-    bx, by, bz = cx + sy, cy - sx, cz - s0
-    error = bx * bx + by * by + bz * bz
+    a2 = ax * ax + ay * ay + az * az
+    margin = TIE_RTOL * (a2 + s * s)
+    # a candidate's error is E(k) = e + k (p - q k) in k = n.a: +z (index 0) has k = az, -z k = -az
+    e, p, q = a2 + s * s * a0 * a0, 2.0 * c * s * a0, s * s
+    best_i, best_error = 0, e + az * (p - q * az)
+    error = e - az * (p + q * az)
     if error < best_error - margin:
-        best_i, best_error, best = 1, error, (-az, bx, by, bz)
+        best_i, best_error = 1, error
     psi = math.atan2(ay, ax)
     if math.isfinite(psi):
         m = axes.n_axes - 2
+        w, r = TWO_PI / m, math.hypot(ax, ay)
         lo = math.floor(psi * m / TWO_PI) % m
         hi = math.floor((psi + math.pi) * m / TWO_PI) % m
         if hi < lo:
             lo, hi = hi, lo
-        # a repeat scores its first error again, which never beats best - margin: only first visits count
+        # a repeat ranks its first E again, which never beats best - margin: only first visits count
         for j in (lo, lo + 1, hi, hi + 1) if hi + 1 < m else (0, lo, (lo + 1) % m, hi):
-            phi = TWO_PI * j / m  # axes.phase(2 + j), inline
-            nx, ny = cos(phi), sin(phi)
-            bx = cx + s * (a0 * nx + ny * az)
-            by = cy + s * (a0 * ny - nx * az)
-            bz = cz + s * (nx * ay - ny * ax)
-            error = bx * bx + by * by + bz * bz
+            k = r * cos(w * j - psi)
+            error = e + k * (p - q * k)
             if error < best_error - margin:
-                best_i, best_error, best = 2 + j, error, (nx * ax + ny * ay, bx, by, bz)
-    na, bx, by, bz = best
-    return best_i, best_error, (c * a0 - s * na, bx, by, bz)
+                best_i, best_error = 2 + j, error
+    # only the winner's state is built, term by term, and its error summed from it
+    cx, cy, cz = c * ax, c * ay, c * az
+    if best_i < 2:  # -z is +z with s negated
+        t = s if best_i == 0 else -s
+        bx, by, bz = cx - t * ay, cy + t * ax, cz + t * a0
+        return best_i, bx * bx + by * by + bz * bz, (c * a0 - t * az, bx, by, bz)
+    phi = axes.phase(best_i)
+    nx, ny = cos(phi), sin(phi)
+    bx = cx + s * (a0 * nx + ny * az)
+    by = cy + s * (a0 * ny - nx * az)
+    bz = cz + s * (nx * ay - ny * ax)
+    return best_i, bx * bx + by * by + bz * bz, (c * a0 - s * (nx * ax + ny * ay), bx, by, bz)
 
 
 def greedy_compile(

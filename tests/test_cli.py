@@ -1079,6 +1079,42 @@ class TestVerifyRobustness:
         assert code == 1 and out == ""
         assert err == f"error: malformed schedule: {message}\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_axes", 3, "n_axes must be >= 6, got 3"),
+        ("n_axes", 5, "n_axes must be >= 6, got 5"),
+        ("n_axes", -18, "n_axes must be >= 6, got -18"),
+        ("n_axes", MAX_AXES + 1, f"n_axes must be <= {MAX_AXES}"),
+        ("n_axes", "18", 'malformed number in n_axes: "18"'),
+        ("n_axes", 18.0, "malformed number in n_axes: 18.0"),
+        ("n_axes", True, "malformed number in n_axes: true"),
+        ("n_axes", None, "malformed number in n_axes: null"),
+        ("iterations", -5, "iterations must be >= 0, got -5"),
+        ("iterations", 2.0, "malformed number in iterations: 2.0"),
+        ("iterations", "3", 'malformed number in iterations: "3"'),
+        ("eps_target", 5.0, "eps_target must be in [1e-24, 1)"),
+        ("eps_target", 1.0, "eps_target must be in [1e-24, 1)"),
+        ("eps_target", 1e-25, "eps_target must be in [1e-24, 1)"),
+        ("eps_target", 0, "eps_target must be in [1e-24, 1)"),
+        ("eps_target", -1e-4, "eps_target must be in [1e-24, 1)"),
+    ])
+    def test_setting_that_compile_refuses_is_malformed(self, capsys, tmp_path, field, value, message):
+        # each field alone: n_axes, iterations and eps_target must be values a compile accepts
+        doc = self.schedule(capsys, tmp_path)
+        doc[field] = value
+        assert self.verify(capsys, tmp_path, doc) == (1, "", f"error: malformed schedule: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--baseline"], ["--axes", "6", "--epsilon", "0.999"], ["--axes", str(MAX_AXES), "--epsilon", "1e-24"],
+    ], ids=["baseline", "fewest-axes", "most-axes"])
+    def test_settings_that_compile_writes_verify(self, capsys, tmp_path, argv):
+        # the baseline writes n_axes 0; the identity takes 0 iterations
+        for gate in ("H", "I"):
+            code, out, _ = run_cli(capsys, "compile", "--gate", gate, *argv)
+            assert code == 0
+            doc = json.loads(out)
+            code, out, err = self.verify(capsys, tmp_path, doc)
+            assert (code, err) == (0, "") and out.endswith("-> OK\n"), (gate, doc)
+
     @pytest.mark.parametrize("doc", [{"pulses": []}, []])
     def test_malformed_schedule(self, capsys, tmp_path, doc):
         code, _, err = self.verify(capsys, tmp_path, doc)

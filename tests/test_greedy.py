@@ -400,6 +400,39 @@ class TestClosedFormStep:
             assert new == ref_new, (state, n_axes, angle)
 
 
+def step_bits(index, error, state):
+    """A step result as exact text: each float's hex, with every NaN alike."""
+    return index, *["nan" if x != x else x.hex() for x in (error, *state)]
+
+
+class TestRankingByError:
+    """Ranking candidates by E(k) and building the winner alone picks set_order_step's axis, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["unit", "scaled", "non-finite"])
+    def test_matches_set_order_step(self, kind):
+        # unit quaternions, some components special (signed zeros, the smallest
+        # magnitudes), the same scaled by is_unitary's slack, or given NaN or +/-inf parts
+        draw = random.Random({"unit": 11, "scaled": 12, "non-finite": 13}[kind])
+        axes = [greedy.AxisSet(n) for n in STEP_SIZES]  # 5 axes is below allowed_axes' floor
+        specials = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324]
+        for n in range(9_000):
+            state = [draw.choice(specials) if draw.random() < 0.3 else draw.gauss(0.0, 1.0) for _ in range(4)]
+            state[n % 4] = draw.gauss(0.0, 1.0)  # one drawn part at least, so the state can be made unit
+            norm = math.sqrt(sum(x * x for x in state if x not in specials))
+            state = [x if x in specials else x / norm for x in state]
+            if kind == "scaled":
+                state = [x * (1.0 + draw.choice([1e-9, -1e-9])) for x in state]
+            elif kind == "non-finite":
+                for k in draw.sample(range(4), draw.randint(1, 4)):
+                    state[k] = draw.choice([math.nan, math.inf, -math.inf])
+            state = tuple(state)
+            residual = 2.0 * math.atan2(math.sqrt(sum(x * x for x in state[1:])), abs(state[0]))
+            angle = draw.choice([*STEP_ANGLES, residual, math.pi * draw.random()])
+            set_ = axes[n % len(axes)]
+            got = step_bits(*best_axis_step(state, set_, angle))
+            assert got == step_bits(*set_order_step(state, set_, angle)), (state, set_.n_axes, angle)
+
+
 def su2_of(q, phase):
     """e^{i phase} (a I - i (b X + c Y + d Z)) for q = (a, b, c, d) normalised."""
     a, b, c, d = np.asarray(q) / math.sqrt(sum(x * x for x in q))
