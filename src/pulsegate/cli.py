@@ -111,27 +111,23 @@ TARGET_FLAGS = ("gate", "euler", "axis", "angle", "matrix", "matrix_file")
 
 
 def resolve_gate_spec(args) -> GateSpec:
-    """Map the target flags to the description a schedule file would hold, and resolve it."""
+    """Turn the one target flag into the value a schedule file holds under its key, and resolve that."""
     given = [name for name in TARGET_FLAGS if name != "angle" and getattr(args, name) is not None]
     if args.angle is not None and args.axis is None:
         raise GateSpecError("--angle requires --axis")
     if len(given) != 1:
         raise GateSpecError("specify exactly one of --gate/--euler/--axis/--matrix/--matrix-file")
     (name,) = given
+    if name == "axis" and args.angle is None:
+        raise GateSpecError("--axis requires --angle")
     value = getattr(args, name)
-    if name == "gate":
-        description = {"gate": value}
-    elif name == "euler":
-        description = {"euler": value.split(",")}
-    elif name == "axis":
-        if args.angle is None:
-            raise GateSpecError("--axis requires --angle")
-        description = {"axis": value.split(","), "angle": args.angle}
+    if name in ("euler", "axis"):
+        value = value.split(",")
     elif name == "matrix":
-        description = {"matrix": _read_json(GateSpecError, "matrix", text=value)}
-    else:
-        description = {"matrix": _read_json(GateSpecError, "matrix", path=value)}
-    return gate_spec_from_json(description)
+        value = _read_json(GateSpecError, "matrix", text=value)
+    elif name == "matrix_file":
+        name, value = "matrix", _read_json(GateSpecError, "matrix", path=value)
+    return gate_spec_from_json({name: value, "angle": args.angle})
 
 
 def _numbers(description: dict, key: str) -> list[float]:
@@ -389,12 +385,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # a line that starts with a command is parsed once, by that command's parser;
-        # any other line gets the top-level parser's help or usage error
-        if argv and argv[0] in commands:
-            return commands[argv[0]](parser._commands[argv[0]].parse_args(argv[1:]))
-        args = parser.parse_args(argv)
-        return commands[args.command](args)
+        # a line is parsed once, by its command's parser; a line that does not start with a
+        # command gets the top-level parser's help or usage error, which do not return
+        command = argv[0] if argv and argv[0] in commands else parser.parse_args(argv).command
+        return commands[command](parser._commands[command].parse_args(argv[1:]))
     except (CommandError, argparse.ArgumentError, GateSpecError, InvalidConfigurationError) as exc:
         print(_error_line(exc), file=sys.stderr)
         return 1 if isinstance(exc, CommandError) else 2

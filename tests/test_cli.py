@@ -1230,6 +1230,31 @@ def test_flags_and_files_resolve_alike(tmp_path, flags, description, message):
         assert code == 0 and spec.description == {"gate": "H"}
 
 
+_S = 1 / math.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[_S, _S], [_S, -_S]], [1, 2], [[["1", 0], 0], [0, 1]], [[1, 1], [0, 1]]],
+    ids=["hadamard", "flat", "string-entry", "non-unitary"],
+)
+def test_matrix_flags_resolve_like_the_file_form(tmp_path, matrix):
+    """`--matrix M` and `--matrix-file` holding M act as a schedule file's `{"matrix": M}` does."""
+    code, out, _ = _outcome(["compile", "--gate", "H"])
+    assert code == 0
+    doc = json.loads(out)
+    doc["target"] = {"matrix": matrix}
+    path, matrix_path = tmp_path / "schedule.json", tmp_path / "matrix.json"
+    path.write_text(json.dumps(doc))
+    matrix_path.write_text(json.dumps(matrix))
+    flag_forms = (["--matrix", json.dumps(matrix)], ["--matrix-file", str(matrix_path)])
+    from_file = _outcome(["verify", "--schedule", str(path)])
+    for flags in flag_forms:
+        assert _outcome(["verify", "--schedule", str(path), *flags]) == from_file
+    compiled = [_outcome(["compile", *flags]) for flags in flag_forms]
+    assert compiled[0] == compiled[1]
+
+
 def _src_env() -> dict:
     """The environment for a fresh interpreter that imports this pulsegate."""
     src = str(Path(pulsegate.__file__).resolve().parent.parent)

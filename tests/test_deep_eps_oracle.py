@@ -8,14 +8,22 @@ product S is formed exactly, and the error is the squared vector part of
 A = S T^dag, (2|A01|^2 + 2|A10|^2 + |A00 - A11|^2) / 4.
 """
 
+import contextlib
+import io
+import json
 import math
 from decimal import Context, Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pulsegate as pg
+from pulsegate import cli
+from pulsegate.cli import NAMED_GATES
 from pulsegate.greedy import EPS_FLOOR
-from pulsegate.ir import CompiledGate, XYPulse
+from pulsegate.ir import ERROR_SLACK, CompiledGate, XYPulse
+from test_grid_schedules import haar_targets
 
 
 def cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
@@ -86,3 +94,86 @@ def test_true_error_is_within_eps_down_to_the_floor(n_axes):
             assert ratio <= 1.0, (t.theta, t.varphi, eps)
             worst = max(worst, ratio)
     assert worst > 0.5  # the schedules come close to eps: the check is not vacuous
+
+
+# the targets the property draws from: the paper's grid, Haar targets and the named gates
+_GRID = [t.unitary for t in pg.evaluation_dataset()]
+_HAAR = haar_targets(32, seed=21)
+_NAMES = list(NAMED_GATES)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """Exit status and stdout of one `cli.main` call; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _edit(data, doc: dict) -> None:
+    """Apply one drawn edit to the pulses, the frame or the declared epsilon of `doc`."""
+    pulses = doc["pulses"]
+    kinds = ["frame", "epsilon"] + ["move", "drop", "duplicate", "wrap"] * bool(pulses)
+    kind = data.draw(st.sampled_from(kinds), label="edit")
+    step = data.draw(st.sampled_from([1, -1]), label="sign") * 10.0 ** -data.draw(st.integers(1, 15), label="j")
+    if kind == "frame":
+        doc["frame_phase_rad"] += step
+    elif kind == "epsilon":
+        doc["epsilon"] *= abs(step)
+    else:
+        i = data.draw(st.integers(0, len(pulses) - 1), label="pulse")
+        if kind == "move":
+            pulses[i][data.draw(st.sampled_from(["phase_rad", "angle_rad"]), label="field")] += step
+        elif kind == "drop":
+            del pulses[i]
+        elif kind == "duplicate":
+            pulses.insert(i, dict(pulses[i]))
+        else:
+            pulses[i]["phase_rad"] += 2 * math.pi
+
+
+def test_verify_agrees_with_the_oracle_under_drawn_edits(tmp_path):
+    """`verify`'s verdict on an edited schedule is the 50-digit oracle's, outside its rounding band.
+
+    With t the oracle's error, b = min(declared, eps_target), s the slack and
+    delta = 4 k u (k = pulses + 1) a bound on the double evaluator's own error:
+    t > b + s + delta is a MISMATCH with exit 1, t < b + s - delta is OK with exit 0.
+    The cost fields are rewritten to match the edited pulses, so only the error decides.
+    """
+    path = tmp_path / "schedule.json"
+    verdicts = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(["grid", "haar", "gate"]), label="target")
+        if kind == "gate":
+            name = data.draw(st.sampled_from(_NAMES), label="gate")
+            target, flags = NAMED_GATES[name], ["--gate", name]
+        else:
+            target = data.draw(st.sampled_from(_GRID if kind == "grid" else _HAAR), label="unitary")
+            flags = ["--matrix", json.dumps([[[x.real, x.imag] for x in row] for row in target.tolist()])]
+        n_axes = data.draw(st.sampled_from([6, 18, 16386]), label="n_axes")
+        eps = max(EPS_FLOOR, 10.0 ** -data.draw(st.floats(2, 24), label="decades"))
+        code, out = _run(["compile", *flags, "--axes", str(n_axes), "--epsilon", repr(eps)])
+        assert code == 0
+        doc = json.loads(out)
+        _edit(data, doc)
+        angles = [p["angle_rad"] for p in doc["pulses"]]
+        doc["distance_rad"], doc["pulse_count"] = math.fsum(angles), len(angles)
+        path.write_text(json.dumps(doc))
+        code, out = _run(["verify", "--schedule", str(path)])
+
+        pulses = tuple(XYPulse(p["phase_rad"], p["angle_rad"]) for p in doc["pulses"])
+        t = true_error(target, CompiledGate(pulses, doc["frame_phase_rad"], 0.0, 0.0, len(pulses), 0))
+        bound = Decimal(min(doc["epsilon"], doc["eps_target"])) + Decimal(ERROR_SLACK)
+        delta = Decimal(4 * (len(pulses) + 1)) * Decimal(2) ** -53
+        assert out.count("\n") == 1 and out.startswith("achieved epsilon: "), out  # no cost-field line
+        if t > bound + delta:
+            assert (code, out.endswith("-> MISMATCH\n")) == (1, True), (t, out)
+        elif t < bound - delta:
+            assert (code, out.endswith("-> OK\n")) == (0, True), (t, out)
+        verdicts.add(code)
+
+    check()
+    assert verdicts == {0, 1}  # the edits reach both sides of the bound: the check is not vacuous
