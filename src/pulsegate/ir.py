@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .su2 import hs_fidelity, mod_2pi, rz, xy_rotation
+from .su2 import hs_fidelity, mod_2pi, rotation_unitary
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,15 +75,33 @@ def canonical_xy(phase: float, angle: float) -> Optional[XYPulse]:
 
 
 def sequence_unitary(steps: PulseSequence) -> np.ndarray:
-    """Semantic unitary of a schedule; later steps left-multiply."""
-    u = None
-    for step in steps:
-        m = rz(step.alpha) if isinstance(step, VirtualZ) else xy_rotation(step.phase, step.angle)
-        u = m if u is None else m.dot(u)  # the same product as @, with less call overhead
-    if u is None:
+    """Semantic unitary of a schedule; later steps left-multiply.
+
+    The steps compose as quaternions (a0, a), u = a0 I - i a.sigma, in
+    Python floats: a step by t about n is (c, s n), c = cos(t/2),
+    s = sin(t/2), and maps (a0, a) to (c a0 - s n.a, c a + s a0 n + s n x a).
+    One array is built at the end, by rotation_unitary from the product's
+    axis and angle (axis +z when its vector part is zero).
+    """
+    if not steps:
         import numpy as np
         return np.eye(2, dtype=complex)
-    return u
+    cos, sin = math.cos, math.sin
+    a0, ax, ay, az = 1.0, 0.0, 0.0, 0.0
+    for step in steps:
+        t, nx, ny, nz = ((step.alpha, 0.0, 0.0, 1.0) if isinstance(step, VirtualZ)
+                         else (step.angle, cos(step.phase), sin(step.phase), 0.0))
+        c, s = cos(t / 2.0), sin(t / 2.0)
+        a0, ax, ay, az = (c * a0 - s * (nx * ax + ny * ay + nz * az),
+                          c * ax + s * (a0 * nx + ny * az - nz * ay),
+                          c * ay + s * (a0 * ny + nz * ax - nx * az),
+                          c * az + s * (a0 * nz + nx * ay - ny * ax))
+    r = math.hypot(ax, ay, az)  # hypot, not a sum of squares, which underflows at tiny angles
+    theta = 2.0 * math.atan2(r, a0)
+    if r < 1e-300:  # a subnormal r has too few digits to normalize by: rescale exactly first
+        ax, ay, az = ax * 2.0 ** 1000, ay * 2.0 ** 1000, az * 2.0 ** 1000
+        r = math.hypot(ax, ay, az)
+    return rotation_unitary((ax / r, ay / r, az / r) if r else (0.0, 0.0, 1.0), theta)
 
 
 def merge_adjacent(steps: PulseSequence) -> list[PulseStep]:
@@ -184,7 +202,8 @@ class CompileReport(NamedTuple):
 
 def schedule_error(target, pulses: Sequence[XYPulse], frame_phase: float) -> float:
     """Gate error 1 - F of a finished schedule; roundoff below 0 reads 0, NaN stays NaN."""
-    # rz(0.0) would only flip the signs of zeros, which |vdot| cannot see; a NaN frame is kept
+    # a VirtualZ(0.0) step (c = 1, s = 0) would only flip the signs of zeros, which |vdot| cannot see;
+    # a NaN frame is kept
     u = sequence_unitary([*pulses, VirtualZ(frame_phase)] if frame_phase else pulses)
     return max(1.0 - hs_fidelity(target, u), 0.0)
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -33,7 +34,10 @@ from pulsegate.ir import (
 from pulsegate.su2 import mod_2pi, rotation_unitary, rx, rz, xy_rotation
 
 from conftest import random_canonical_sequence
+from test_deep_eps_oracle import cos_sin
 from test_grid_schedules import haar_targets
+
+U = 2.0 ** -53  # the unit roundoff of a double
 
 
 def phase_equal(u, v, tol=1e-12):
@@ -228,8 +232,9 @@ class TestScheduleError:
         schedules = [absorb_virtual_z(random_canonical_sequence(rng)) for _ in range(100)]
         schedules += [([], 0.0), ([], 1.3), ([XYPulse(0.4, 1.1)], 0.0)]
         for pulses, frame in schedules:
-            u = rz(frame) @ sequence_unitary(pulses)
-            assert np.array_equal(sequence_unitary(pulses + [VirtualZ(frame)]), u)
+            u = sequence_unitary(pulses + [VirtualZ(frame)])
+            # the quaternion fold rounds once at the end, the product of arrays once per factor
+            assert np.abs(u - rz(frame) @ sequence_unitary(pulses)).max() <= 4 * (len(pulses) + 2) * U
             gate = CompiledGate(tuple(pulses), frame, 0.0, distance(pulses), len(pulses), 0)
             assert np.array_equal(gate.unitary(), u)
             target = sequence_unitary(random_canonical_sequence(rng))
@@ -271,10 +276,10 @@ class TestCostMetrics:
 
 
 # --------------------------------------------------------------------------
-# The numpy calls and pass-throughs on the compile path, bit for bit against
-# the forms they replaced: a flat array reshaped against the nested-row
-# array, .dot against @, and absorb's pass-through against its shift rule.
-# On a numpy release where .dot and @ round differently these fail by name,
+# The numpy call and the pass-through on the compile path, bit for bit
+# against the forms they replaced: a flat array reshaped against the
+# nested-row array, and absorb's pass-through against its shift rule. On a
+# numpy release where the two arrays round differently this fails by name,
 # before any golden file does.
 
 ANGLES = st.one_of(
@@ -333,17 +338,6 @@ class TestNumpyCallsBitForBit:
 
     @given(SCHEDULES)
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_sequence_matches_matmul_fold(self, steps):
-        def step_unitary(step):
-            return rz(step.alpha) if isinstance(step, VirtualZ) else xy_rotation(step.phase, step.angle)
-
-        want = step_unitary(steps[0])
-        for step in steps[1:]:
-            want = step_unitary(step) @ want
-        assert bits(sequence_unitary(steps)) == bits(want)
-
-    @given(SCHEDULES)
-    @settings(max_examples=300, deadline=None, derandomize=True)
     def test_absorb_matches_shift_rule(self, steps):
         # raw steps, as the greedy hands them over, and the same steps merged
         for seq in (steps, merge_adjacent(steps)):
@@ -351,6 +345,121 @@ class TestNumpyCallsBitForBit:
             want, want_frame = absorb_by_shift_rule(seq)
             assert pulses == want and exact(pulses) == exact(want)
             assert frame.hex() == want_frame.hex()
+
+
+
+def matmul_fold(steps):
+    """The product of the steps' rz/xy_rotation arrays with @, later steps on the left."""
+    u = np.eye(2, dtype=complex)
+    for step in steps:
+        u = (rz(step.alpha) if isinstance(step, VirtualZ) else xy_rotation(step.phase, step.angle)) @ u
+    return u
+
+
+def exact_product(steps) -> list:
+    """The steps' product to 50 digits as its four complex entries, (re, im) pairs in row order."""
+    with localcontext(Context(prec=50)):
+        w, x, y, z = Decimal(1), Decimal(0), Decimal(0), Decimal(0)  # w I - i (x X + y Y + z Z)
+        for step in steps:
+            if isinstance(step, VirtualZ):
+                c, s = cos_sin(Decimal(step.alpha) / 2)
+                nx, ny, nz = Decimal(0), Decimal(0), Decimal(1)
+            else:
+                c, s = cos_sin(Decimal(step.angle) / 2)
+                ny, nx = cos_sin(Decimal(step.phase))[::-1]
+                nz = Decimal(0)
+            w, x, y, z = (c * w - s * (nx * x + ny * y + nz * z), c * x + s * (w * nx + ny * z - nz * y),
+                          c * y + s * (w * ny + nz * x - nx * z), c * z + s * (w * nz + nx * y - ny * x))
+        return [(w, -z), (-y, -x), (y, -x), (w, z)]
+
+
+def entry_distance(u, exact) -> float:
+    """The largest |u_ij - exact_ij| over the four entries."""
+    with localcontext(Context(prec=50)):
+        return max(float(((Decimal(e.real) - re) ** 2 + (Decimal(e.imag) - im) ** 2).sqrt())
+                   for e, (re, im) in zip(u.ravel(), exact))
+
+
+def gate_error(u, exact) -> float:
+    """|1 - |Tr(S^dag u) / 2|^2| against the exact product S: the error schedule_error reads for u."""
+    with localcontext(Context(prec=50)):
+        re = sum(Decimal(e.real) * a + Decimal(e.imag) * b for e, (a, b) in zip(u.ravel(), exact))
+        im = sum(Decimal(e.imag) * a - Decimal(e.real) * b for e, (a, b) in zip(u.ravel(), exact))
+        return float(abs(1 - (re * re + im * im) / 4))
+
+
+# tiny steps, which the fold must not lose: a normal, a near-underflow and two subnormal angles
+TINY = [2e-160, 1e-300, 1e-320, 5e-324]
+
+
+class TestQuaternionFold:
+    """sequence_unitary's quaternion fold against the @ fold of arrays and the 50-digit product."""
+
+    def test_sequence_is_within_rounding_of_matmul_fold(self):
+        # k = steps + 1: the fold rounds in each step and once more in the one array it builds
+        worst = {"quaternion": 0.0, "matmul": 0.0}
+
+        @given(SCHEDULES)
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        def check(steps):
+            k = len(steps) + 1
+            got, want, exact = sequence_unitary(steps), matmul_fold(steps), exact_product(steps)
+            assert got.shape == (2, 2) and got.dtype == np.complex128
+            assert np.abs(got - want).max() <= 2 * k * U
+            assert entry_distance(got, exact) <= 2 * k * U
+            for name, u in (("quaternion", got), ("matmul", want)):
+                worst[name] = max(worst[name], gate_error(u, exact) / (k * U))
+
+        check()
+        # in the error schedule_error reads, the worst draw is no farther from the exact product
+        assert 0.0 < worst["quaternion"] <= worst["matmul"]
+
+    @pytest.mark.parametrize("angle", TINY)
+    @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi / 4])
+    def test_tiny_angles_match_matmul_fold(self, phase, angle):
+        # a sum of squares for the axis norm underflows here, and a subnormal norm has too few digits
+        for steps in ([XYPulse(phase, angle)], [VirtualZ(angle)]):
+            assert np.array_equal(sequence_unitary(steps), matmul_fold(steps))
+        steps = [XYPulse(phase, angle), XYPulse(phase + 1.0, 3 * angle)]
+        got, want = sequence_unitary(steps), matmul_fold(steps)
+        assert (np.abs(got - want) <= 6 * U * np.abs(want) + 5e-324).all()  # relative, to the last subnormal
+
+    @pytest.mark.parametrize("steps, sign", [
+        ([XYPulse(0.0, math.pi), XYPulse(0.0, math.pi)], -1.0),
+        ([XYPulse(0.3, math.pi), XYPulse(0.3, math.pi)], -1.0),
+        ([VirtualZ(math.pi), VirtualZ(math.pi)], -1.0),
+        ([VirtualZ(2.0 * math.pi)], -1.0),
+        ([XYPulse(0.0, math.pi)] * 4, 1.0),
+        ([XYPulse(0.0, 1.1), XYPulse(0.0, -1.1)], 1.0),
+        ([VirtualZ(0.4), VirtualZ(-0.4)], 1.0),
+        ([XYPulse(0.0, 1.1), XYPulse(0.0, -1.1), VirtualZ(2.0 * math.pi)], -1.0),
+    ])
+    def test_cancelling_schedules_keep_the_sign(self, steps, sign):
+        got = sequence_unitary(steps)
+        assert np.abs(got - sign * np.eye(2)).max() <= 4 * U
+        assert np.abs(got - matmul_fold(steps)).max() <= 2 * (len(steps) + 1) * U
+
+    def test_exact_cancellation_is_the_identity(self):
+        # the vector parts cancel to zero: the axis is +z and the angle 0, so no rounding is left
+        for steps in ([XYPulse(0.0, 1.1), XYPulse(0.0, -1.1)], [VirtualZ(0.4), VirtualZ(-0.4)]):
+            assert np.array_equal(sequence_unitary(steps), np.eye(2))
+
+    @pytest.mark.parametrize("step", [XYPulse(math.nan, 0.7), XYPulse(0.3, math.nan), XYPulse(math.nan, 0.0),
+                                      VirtualZ(math.nan)])
+    def test_nan_step_gives_nan_error(self, step):
+        steps = [XYPulse(0.2, 0.9), step, XYPulse(1.4, 0.5)]
+        assert np.isnan(sequence_unitary(steps)).all()
+        target = sequence_unitary([XYPulse(0.2, 0.9), XYPulse(1.4, 0.5)])
+        pulses = [s for s in steps if isinstance(s, XYPulse)]
+        assert math.isnan(schedule_error(target, pulses, math.nan if isinstance(step, VirtualZ) else 0.3))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_angle_or_phase_raises(self, value):
+        for steps in ([XYPulse(0.3, value)], [XYPulse(value, 0.7)], [XYPulse(0.3, 0.7), VirtualZ(value)]):
+            with pytest.raises(ValueError):
+                sequence_unitary(steps)
+        with pytest.raises(ValueError):
+            schedule_error(np.eye(2), [XYPulse(0.3, 0.7)], value)
 
 
 def canonicalizing_merge(steps) -> list:
