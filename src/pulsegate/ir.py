@@ -9,8 +9,13 @@ hardware. Passes here are exact up to global phase:
     pulses, leaving canonical physical pulses plus one trailing frame
     shift; it alone owns frame shifts and the canonical form, and its
     mod_2pi of their sum is the one place a shift is folded
-  * merge_adjacent  -- folds a canonical schedule's adjacent same-line
-    pulses together
+  * merge_adjacent  -- folds a canonical schedule's adjacent pulses of
+    bit-equal phase together
+
+Both are exact in real arithmetic: equal float phases name one axis, so
+the two rotations commute and their angles add, and only an angle of
+exactly 0 is dropped. The greedy's residual is a schedule's only error
+besides rounding.
 
 Cost metrics follow the zero-cost virtual-Z accounting: distance sums
 only physical pulse angles, pulse_count counts only physical pulses.
@@ -32,10 +37,6 @@ from .su2 import hs_fidelity, mod_2pi, rotation_unitary
 if TYPE_CHECKING:
     import numpy as np
 
-# Canonical angles below this are dropped (pure global phase at double precision).
-ANGLE_EPS = 1e-12
-# Tolerance for recognizing equal / antipodal pulse phases when merging.
-PHASE_EPS = 1e-12
 # Rounding allowance of the gate error 1 - F, which cancels near F = 1:
 # the acceptance checks (greedy's post-pass re-check and `verify`) pass a
 # schedule_error up to this much above its target.
@@ -60,16 +61,17 @@ PulseSequence = Sequence[PulseStep]
 
 
 def canonical_xy(phase: float, angle: float) -> Optional[XYPulse]:
-    """Canonical form: angle in (0, pi], phase in [0, 2*pi); None if trivial.
+    """Canonical form: angle in (0, pi], phase in [0, 2*pi); None if the angle folds to exactly 0.
 
     A rotation by theta in (pi, 2*pi) equals (up to global phase) a rotation
-    by 2*pi - theta about the antipodal axis.
+    by 2*pi - theta about the antipodal axis. Any nonzero angle is kept,
+    however small, so dropping a pulse never adds error.
     """
     a = mod_2pi(angle)
     if a > math.pi:
         a = 2.0 * math.pi - a
         phase = phase + math.pi
-    if a < ANGLE_EPS:
+    if a == 0.0:
         return None
     return XYPulse(mod_2pi(phase), a)
 
@@ -81,11 +83,9 @@ def sequence_unitary(steps: PulseSequence) -> np.ndarray:
     Python floats: a step by t about n is (c, s n), c = cos(t/2),
     s = sin(t/2), and maps (a0, a) to (c a0 - s n.a, c a + s a0 n + s n x a).
     One array is built at the end, by rotation_unitary from the product's
-    axis and angle (axis +z when its vector part is zero).
+    axis and angle (axis +z when its vector part is zero, so no steps give
+    a fresh identity).
     """
-    if not steps:
-        import numpy as np
-        return np.eye(2, dtype=complex)
     cos, sin = math.cos, math.sin
     a0, ax, ay, az = 1.0, 0.0, 0.0, 0.0
     for step in steps:
@@ -105,28 +105,21 @@ def sequence_unitary(steps: PulseSequence) -> np.ndarray:
 
 
 def merge_adjacent(steps: PulseSequence) -> list[PulseStep]:
-    """Fold a canonical schedule's adjacent same-line pulses to a fixpoint.
+    """Fold a canonical schedule's adjacent pulses of equal phase to a fixpoint.
 
-    Coaxial pulses add angles, antipodal-phase pulses subtract; a trivial
-    result is deleted. Two pulse phases are on one line when their circular
-    distance, folded into [0, pi], is within PHASE_EPS of 0 or of pi.
-    Virtual-Z steps, and pulses that fold with nothing, come back as given:
-    absorb_virtual_z sums frame shifts and canonicalizes pulses. Unitary is
-    preserved up to global phase and the step count never increases.
+    Two pulses fold only when their phases are the same float: their
+    rotations then commute and their angles add, through canonical_xy, and
+    a result of angle exactly 0 is deleted. Pulses at any other phases,
+    antipodal ones included, stay apart. Virtual-Z steps, and pulses that
+    fold with nothing, come back as given: absorb_virtual_z sums frame
+    shifts and canonicalizes pulses. Unitary is preserved up to global
+    phase and the step count never increases.
     """
     out: list[PulseStep] = []
     for step in steps:
-        while out and isinstance(step, XYPulse) and isinstance(out[-1], XYPulse):
-            last = out[-1]
-            d = mod_2pi(last.phase - step.phase)
-            delta = min(d, 2.0 * math.pi - d)
-            if delta < PHASE_EPS:
-                step = canonical_xy(last.phase, last.angle + step.angle)
-            elif abs(delta - math.pi) < PHASE_EPS:
-                step = canonical_xy(last.phase, last.angle - step.angle)
-            else:
-                break
-            out.pop()
+        while (out and isinstance(step, XYPulse) and isinstance(out[-1], XYPulse)
+               and out[-1].phase == step.phase):
+            step = canonical_xy(step.phase, out.pop().angle + step.angle)
         if step is not None:
             out.append(step)
     return out

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -1298,6 +1299,32 @@ def test_import_and_usage_errors_load_no_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def numpy_importers() -> set:
+    """The package's modules that import numpy anywhere outside an `if TYPE_CHECKING:` block."""
+    found = set()
+    for path in sorted(Path(pulsegate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        typing_only = {id(inner) for node in ast.walk(tree)
+                       if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+                       for stmt in node.body for inner in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if id(node) not in typing_only and any(name.split(".")[0] == "numpy" for name in names):
+                found.add(path.stem)
+    return found
+
+
+def test_only_su2_and_bench_import_numpy():
+    # su2 builds the arrays and bench fits its models; ir, greedy, u3, cli and __init__ reach numpy only
+    # through su2's functions, or name it for type checkers
+    assert numpy_importers() == {"su2", "bench"}
 
 
 def test_import_loads_only_what_a_greedy_compile_uses():
